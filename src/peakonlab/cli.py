@@ -21,18 +21,15 @@ Each trajectory mode writes one CSV per requested time with columns
 cover [-2*pi, 2*pi], and a summary.txt of key=value lines (peak slopes,
 energies, conserved-combination drifts, breaking report).  Numbers carry 17
 significant digits, lines end in LF, and repeated runs produce byte-identical
-files.  PEAKON_LAB_THREADS caps the worker count used to evaluate
-linear-exact samples (0 or unset = one worker per CPU).
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -90,6 +87,7 @@ class ScenarioConfig:
 
 
 _TERM = re.compile(r"^(?:([+-]?[\d.]+(?:[eE][+-]?\d+)?)\*)?(sin|cos)(\d+)?$")
+_TERM_SEP = re.compile(r"(?<![eE])\+")  # a '+' after e/E is an exponent sign
 
 
 def parse_ic_spec(spec: str):
@@ -106,7 +104,7 @@ def parse_ic_spec(spec: str):
     spec = spec.strip()
     if spec in ("", "0", "zero"):
         return 0.0, (), ()
-    for raw in spec.replace(" ", "").split("+"):
+    for raw in _TERM_SEP.split(spec.replace(" ", "")):
         if not raw:
             raise ConfigError(f"ic: empty term in {spec!r}")
         mobj = _TERM.match(raw)
@@ -161,18 +159,6 @@ def parse_config_file(path: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return updates
-
-
-def worker_count() -> int:
-    """Worker cap from PEAKON_LAB_THREADS (0 or unset = one per CPU)."""
-    raw = os.environ.get("PEAKON_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PEAKON_LAB_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError("PEAKON_LAB_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def _fmt(x) -> str:
@@ -264,10 +250,7 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     exit_code = 0
     if config.mode == "linear-exact":
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            states = list(pool.map(
-                lambda t: linear.exact_state(t, ic, config.n_chars),
-                config.t_samples))
+        states = [linear.exact_state(t, ic, config.n_chars) for t in config.t_samples]
     elif config.mode in ("linear-ode", "energies"):
         traj = linear.integrate_linear(ic, config.t_samples[-1], dt=config.dt,
                                        n_chars=config.n_chars,

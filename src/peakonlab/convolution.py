@@ -14,9 +14,10 @@ the jacobian dX/ds and the quadrature runs in the characteristic parameter
 with weight J, which keeps steepening fronts resolved where X compresses.
 
 Quadrature is the derivative-corrected trapezoid of :mod:`.quadrature`;
-panels containing the kernel corner are split there with one-sided kernel
-values, so the piecewise-smooth integrands are integrated piecewise.  Panel
-sums run left to right for bit-reproducible results.
+the panel containing the kernel corner is split there with one-sided kernel
+values (:func:`.kernel.convolve_samples`), so the piecewise-smooth
+integrands are integrated piecewise.  Panel sums run left to right for
+bit-reproducible results.
 
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
@@ -30,11 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .kernel import M, TWO_PI, m
-from .quadrature import fd_derivative, ordered_sum, panel_integrals
-
-_JUMP_SNAP = 1e-12 * TWO_PI
-
+from .kernel import TWO_PI, m
+from .quadrature import fd_derivative, panel_integrals
 
 @dataclass(frozen=True)
 class DensitySample:
@@ -102,111 +100,24 @@ def _integration_frame(sample: DensitySample):
     return y, tau, w, wp, dpos
 
 
-def _quadratic_at(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
-    """Lagrange quadratic through three points, evaluated at x."""
-    (x0, x1, x2), (y0, y1, y2) = xs, ys
-    return (y0 * (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2))
-            + y1 * (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))
-            + y2 * (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1)))
-
-
-def _kernel_arrays(which: str, d: np.ndarray):
-    """Kernel and its d-derivative on |d| <= 2*pi, corner handled by caller."""
-    ad = np.abs(d)
-    c = m * np.cosh(math.pi - ad)
-    s = -np.sign(d) * m * np.sinh(math.pi - ad)
-    if which == "phi":
-        return c, s, (M, M), (-1.0, 1.0)
-    # which == "phi_prime": second derivative equals phi away from the corner
-    return s, c, (-1.0, 1.0), (M, M)
-
-
-def _convolve_at(which: str, frame, x: float) -> float:
-    y, tau, w, wp, dpos = frame
-    n_last = len(y) - 1
-    xr = float(np.mod(x, TWO_PI))
-    d = xr - y
-    K, Kd, K_jump, Kd_jump = _kernel_arrays(which, d)
-    F = K * w
-    Fp = -Kd * dpos * w + K * wp  # derivative in tau
-
-    def piece(ts, fs, fps):
-        dt = np.diff(ts)
-        keep = dt > 0
-        return ordered_sum(panel_integrals(dt[keep], fs[:-1][keep], fs[1:][keep],
-                                           fps[:-1][keep], fps[1:][keep]))
-
-    if xr == 0.0:
-        # corner at both domain ends; interior formulas already give the
-        # correct branch at y = 2*pi, only the y = 0 node needs the d->0- side
-        F0 = K_jump[1] * w[0]
-        Fp0 = -Kd_jump[1] * dpos[0] * w[0] + K_jump[1] * wp[0]
-        fs = np.concatenate(([F0], F[1:]))
-        fps = np.concatenate(([Fp0], Fp[1:]))
-        return piece(tau, fs, fps)
-
-    idx = int(np.searchsorted(y, xr))
-    on_node = None
-    for cand in (idx - 1, idx, idx + 1):
-        if 0 <= cand <= n_last and abs(y[cand] - xr) < _JUMP_SNAP:
-            on_node = cand
-            break
-    if on_node is not None:
-        j = on_node
-        F_lo = K_jump[0] * w[j]
-        Fp_lo = -Kd_jump[0] * dpos[j] * w[j] + K_jump[0] * wp[j]
-        F_hi = K_jump[1] * w[j]
-        Fp_hi = -Kd_jump[1] * dpos[j] * w[j] + K_jump[1] * wp[j]
-        lower = piece(tau[:j + 1],
-                      np.concatenate((F[:j], [F_lo])),
-                      np.concatenate((Fp[:j], [Fp_lo])))
-        upper = piece(tau[j:],
-                      np.concatenate(([F_hi], F[j + 1:])),
-                      np.concatenate(([Fp_hi], Fp[j + 1:])))
-        return lower + upper
-
-    # split the panel containing the corner; density data at the split point
-    # comes from the quadratic through the three nearest nodes
-    k = idx - 1
-    lo = min(max(k - 1, 0), n_last - 2)
-    sl = slice(lo, lo + 3)
-    w_x = _quadratic_at(y[sl], w[sl], xr)
-    wp_x = _quadratic_at(y[sl], wp[sl], xr)
-    dpos_x = _quadratic_at(y[sl], dpos[sl], xr)
-    tau_x = _quadratic_at(y[sl], tau[sl], xr)
-    F_lo = K_jump[0] * w_x
-    Fp_lo = -Kd_jump[0] * dpos_x * w_x + K_jump[0] * wp_x
-    F_hi = K_jump[1] * w_x
-    Fp_hi = -Kd_jump[1] * dpos_x * w_x + K_jump[1] * wp_x
-    lower = piece(np.concatenate((tau[:k + 1], [tau_x])),
-                  np.concatenate((F[:k + 1], [F_lo])),
-                  np.concatenate((Fp[:k + 1], [Fp_lo])))
-    upper = piece(np.concatenate(([tau_x], tau[k + 1:])),
-                  np.concatenate(([F_hi], F[k + 1:])),
-                  np.concatenate(([Fp_hi], Fp[k + 1:])))
-    return lower + upper
+def _half_convolution(which: str, sample: DensitySample, targets) -> np.ndarray:
+    if targets is None:
+        targets = sample.nodes
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    if targets.size == 0:
+        raise ValueError("targets must be nonempty")
+    frame = _integration_frame(sample)
+    return np.array([0.5 * kernel.convolve_samples(which, frame, x) for x in targets])
 
 
 def conv_q(sample: DensitySample, targets=None) -> np.ndarray:
     """Q[v] at the target positions (the sample's own nodes by default)."""
-    if targets is None:
-        targets = sample.nodes
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if targets.size == 0:
-        raise ValueError("targets must be nonempty")
-    frame = _integration_frame(sample)
-    return np.array([0.5 * _convolve_at("phi_prime", frame, x) for x in targets])
+    return _half_convolution("phi_prime", sample, targets)
 
 
 def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
     """P[v] at the target positions (the sample's own nodes by default)."""
-    if targets is None:
-        targets = sample.nodes
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if targets.size == 0:
-        raise ValueError("targets must be nonempty")
-    frame = _integration_frame(sample)
-    return np.array([0.5 * _convolve_at("phi", frame, x) for x in targets])
+    return _half_convolution("phi", sample, targets)
 
 
 def node_convolutions(s: np.ndarray, X: np.ndarray, V: np.ndarray,

@@ -36,6 +36,9 @@ from .quadrature import ordered_sum, panel_integrals
 
 TWO_PI = 2.0 * math.pi
 
+#: distance below which a target counts as sitting on a node
+_JUMP_SNAP = 1e-12 * TWO_PI
+
 #: crest height of the kernel, coth(pi); also the wave speed of the peaked wave
 M = math.cosh(math.pi) / math.sinh(math.pi)
 
@@ -115,6 +118,101 @@ def phi_prime_open_interval(y):
     return m * np.sinh(np.asarray(y, dtype=float) - math.pi)
 
 
+def _quadratic_at(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
+    """Lagrange quadratic through three points, evaluated at x."""
+    (x0, x1, x2), (y0, y1, y2) = xs, ys
+    return (y0 * (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2))
+            + y1 * (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))
+            + y2 * (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1)))
+
+
+def _kernel_arrays(which: str, d: np.ndarray):
+    """Kernel and its d-derivative on |d| <= 2*pi, corner handled by caller."""
+    ad = np.abs(d)
+    c = m * np.cosh(math.pi - ad)
+    s = -np.sign(d) * m * np.sinh(math.pi - ad)
+    if which == "phi":
+        return c, s, (M, M), (-1.0, 1.0)  # jump data for d -> 0+, d -> 0-
+    if which == "phi_prime":  # second derivative equals phi away from the corner
+        return s, c, (-1.0, 1.0), (M, M)
+    raise ValueError(f"unknown kernel {which!r}")
+
+
+def convolve_samples(which: Literal["phi", "phi_prime"], frame, x: float) -> float:
+    """Corner-split quadrature of int K(x - y) w dy over sampled density data.
+
+    ``frame`` is (y, tau, w, wp, dpos): increasing positions y spanning
+    [0, 2*pi], the integration variable tau at those nodes, the density w
+    and its tau-derivative wp, and dy/dtau (ones when tau = y).  The panel
+    holding the kernel corner y = x (mod 2*pi) is split there with one-sided
+    kernel data, and density data at the split comes from the quadratic
+    through the three nearest nodes, so the corner costs no accuracy.
+    """
+    y, tau, w, wp, dpos = frame
+    n_last = len(y) - 1
+    xr = float(np.mod(x, TWO_PI))
+    d = xr - y
+    K, Kd, K_jump, Kd_jump = _kernel_arrays(which, d)
+    F = K * w
+    Fp = -Kd * dpos * w + K * wp  # derivative in tau
+
+    def piece(ts, fs, fps):
+        dt = np.diff(ts)
+        keep = dt > 0
+        return ordered_sum(panel_integrals(dt[keep], fs[:-1][keep], fs[1:][keep],
+                                           fps[:-1][keep], fps[1:][keep]))
+
+    if xr == 0.0:
+        # corner at both domain ends; interior formulas already give the
+        # correct branch at y = 2*pi, only the y = 0 node needs the d->0- side
+        F0 = K_jump[1] * w[0]
+        Fp0 = -Kd_jump[1] * dpos[0] * w[0] + K_jump[1] * wp[0]
+        fs = np.concatenate(([F0], F[1:]))
+        fps = np.concatenate(([Fp0], Fp[1:]))
+        return piece(tau, fs, fps)
+
+    idx = int(np.searchsorted(y, xr))
+    on_node = None
+    for cand in (idx - 1, idx, idx + 1):
+        if 0 <= cand <= n_last and abs(y[cand] - xr) < _JUMP_SNAP:
+            on_node = cand
+            break
+    if on_node is not None:
+        j = on_node
+        F_lo = K_jump[0] * w[j]
+        Fp_lo = -Kd_jump[0] * dpos[j] * w[j] + K_jump[0] * wp[j]
+        F_hi = K_jump[1] * w[j]
+        Fp_hi = -Kd_jump[1] * dpos[j] * w[j] + K_jump[1] * wp[j]
+        lower = piece(tau[:j + 1],
+                      np.concatenate((F[:j], [F_lo])),
+                      np.concatenate((Fp[:j], [Fp_lo])))
+        upper = piece(tau[j:],
+                      np.concatenate(([F_hi], F[j + 1:])),
+                      np.concatenate(([Fp_hi], Fp[j + 1:])))
+        return lower + upper
+
+    # split the panel containing the corner; density data at the split point
+    # comes from the quadratic through the three nearest nodes
+    k = idx - 1
+    lo = min(max(k - 1, 0), n_last - 2)
+    sl = slice(lo, lo + 3)
+    w_x = _quadratic_at(y[sl], w[sl], xr)
+    wp_x = _quadratic_at(y[sl], wp[sl], xr)
+    dpos_x = _quadratic_at(y[sl], dpos[sl], xr)
+    tau_x = _quadratic_at(y[sl], tau[sl], xr)
+    F_lo = K_jump[0] * w_x
+    Fp_lo = -Kd_jump[0] * dpos_x * w_x + K_jump[0] * wp_x
+    F_hi = K_jump[1] * w_x
+    Fp_hi = -Kd_jump[1] * dpos_x * w_x + K_jump[1] * wp_x
+    lower = piece(np.concatenate((tau[:k + 1], [tau_x])),
+                  np.concatenate((F[:k + 1], [F_lo])),
+                  np.concatenate((Fp[:k + 1], [Fp_lo])))
+    upper = piece(np.concatenate(([tau_x], tau[k + 1:])),
+                  np.concatenate(([F_hi], F[k + 1:])),
+                  np.concatenate(([Fp_hi], Fp[k + 1:])))
+    return lower + upper
+
+
 def circle_convolution(kernel: Literal["phi", "phi_prime"],
                        density: Callable[[np.ndarray], np.ndarray],
                        density_prime: Callable[[np.ndarray], np.ndarray],
@@ -122,77 +220,17 @@ def circle_convolution(kernel: Literal["phi", "phi_prime"],
                        nodes: int) -> float:
     """Quadrature of int_0^{2pi} K(x - y) g(y) dy for an analytic density g.
 
-    K is phi or its piecewise derivative.  The uniform grid is split at the
-    kernel corner y = x (mod 2*pi); each smooth piece is integrated with the
-    derivative-corrected panel rule using one-sided kernel data at the split,
-    so the corner costs no accuracy.  ``density``/``density_prime`` must
-    return the (0, 2*pi) branch values; at y = 0 and y = 2*pi that means the
-    inward one-sided limits.
+    K is phi or its piecewise derivative.  g and g' are sampled on a uniform
+    grid of ``nodes`` panels and integrated by :func:`convolve_samples`.
+    ``density``/``density_prime`` must return the (0, 2*pi) branch values;
+    at y = 0 and y = 2*pi that means the inward one-sided limits.
     """
     if nodes < 8:
         raise ValueError("nodes must be >= 8")
-    xr = float(np.mod(x, TWO_PI))
     y = np.linspace(0.0, TWO_PI, nodes + 1)
-    g = np.asarray(density(y), dtype=float)
-    gp = np.asarray(density_prime(y), dtype=float)
-
-    d = xr - y  # in (-2*pi, 2*pi], |d| <= 2*pi: closed form valid directly
-    ad = np.abs(d)
-    kv_phi = m * np.cosh(math.pi - ad)
-    kv_phip = -np.sign(d) * m * np.sinh(math.pi - ad)
-    if kernel == "phi":
-        K, Kp = kv_phi, kv_phip
-        K_at_jump = (M, M)          # phi continuous at the corner
-        Kp_at_jump = (-1.0, 1.0)    # d -> 0+, d -> 0-
-    elif kernel == "phi_prime":
-        K, Kp = kv_phip, kv_phi     # (phi')' = phi away from the corner
-        K_at_jump = (-1.0, 1.0)
-        Kp_at_jump = (M, M)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
-
-    F = K * g
-    Fp = -Kp * g + K * gp  # derivative in y
-
-    def piece(ya, yb, Fa, Fb, Fpa, Fpb, lo, hi):
-        """Corrected-trapezoid over [ya..nodes lo..hi..yb] with custom ends."""
-        ys = np.concatenate(([ya], y[lo:hi], [yb]))
-        fs = np.concatenate(([Fa], F[lo:hi], [Fb]))
-        fps = np.concatenate(([Fpa], Fp[lo:hi], [Fpb]))
-        dx = np.diff(ys)
-        keep = dx > 0
-        pans = panel_integrals(dx[keep],
-                               fs[:-1][keep], fs[1:][keep],
-                               fps[:-1][keep], fps[1:][keep])
-        return ordered_sum(pans)
-
-    if xr == 0.0:
-        # corner sits on both domain ends: one-sided kernel data there
-        g0, gp0 = float(density(np.asarray([0.0]))[0]), float(density_prime(np.asarray([0.0]))[0])
-        g1, gp1 = float(density(np.asarray([TWO_PI]))[0]), float(density_prime(np.asarray([TWO_PI]))[0])
-        Fa = K_at_jump[1] * g0                       # y -> 0+: d -> 0-
-        Fpa = -Kp_at_jump[1] * g0 + K_at_jump[1] * gp0
-        Fb = K_at_jump[0] * g1                       # y -> 2*pi-: d -> 0+
-        Fpb = -Kp_at_jump[0] * g1 + K_at_jump[0] * gp1
-        return piece(0.0, TWO_PI, Fa, Fb, Fpa, Fpb, 1, nodes)
-
-    # values approaching the corner from each side
-    gx = float(density(np.asarray([xr]))[0])
-    gpx = float(density_prime(np.asarray([xr]))[0])
-    F_lo = K_at_jump[0] * gx
-    Fp_lo = -Kp_at_jump[0] * gx + K_at_jump[0] * gpx
-    F_hi = K_at_jump[1] * gx
-    Fp_hi = -Kp_at_jump[1] * gx + K_at_jump[1] * gpx
-
-    j = int(round(xr / (TWO_PI / nodes)))
-    if abs(y[j] - xr) < 1e-12 * TWO_PI:
-        lower = piece(0.0, y[j], F[0], F_lo, Fp[0], Fp_lo, 1, j)
-        upper = piece(y[j], TWO_PI, F_hi, F[nodes], Fp_hi, Fp[nodes], j + 1, nodes)
-    else:
-        k = int(np.searchsorted(y, xr)) - 1
-        lower = piece(0.0, xr, F[0], F_lo, Fp[0], Fp_lo, 1, k + 1)
-        upper = piece(xr, TWO_PI, F_hi, F[nodes], Fp_hi, Fp[nodes], k + 1, nodes)
-    return lower + upper
+    frame = (y, y, np.asarray(density(y), dtype=float),
+             np.asarray(density_prime(y), dtype=float), np.ones_like(y))
+    return convolve_samples(kernel, frame, x)
 
 
 def stationary_residual(x: float, quadrature_nodes: int = 4096) -> float:

@@ -40,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energetics import energies
 from .kernel import M, TWO_PI, m, phi_open_interval, phi_prime_open_interval
 from .profiles import InitialCondition
-from .state import CharacteristicState, cosine_grid
+from .state import CharacteristicState, cosine_grid, initial_state, rk4_step, save_steps
 
 E_2PI = math.exp(TWO_PI)
 
@@ -160,7 +161,13 @@ class LinearTrajectory:
     states: list
 
 
-def _linear_rhs(Z: np.ndarray, pmv: float) -> np.ndarray:
+def _linear_rhs(Z: np.ndarray, pmv: float, stretch=0.0) -> np.ndarray:
+    """Local terms of the characteristic system for stacked Z = (X, W, V, U, J).
+
+    These are the whole linearized vector field; the nonlinear flow adds its
+    convolution and quadratic terms to them and passes stretch = U, so that
+    dJ/dt = (phi'(X) + stretch) J.
+    """
     X, W, V, U, J = Z
     ph = phi_open_interval(X)
     php = phi_prime_open_interval(X)  # one-sided at the fixed endpoints
@@ -171,7 +178,7 @@ def _linear_rhs(Z: np.ndarray, pmv: float) -> np.ndarray:
         php * W + pmv * (1.0 - coshX),
         ph * W - pmv * sinhX,
         php * (W - U) + ph * V - pmv * coshX,
-        php * J,
+        (php + stretch) * J,
     ])
     dZ[0, 0] = dZ[0, -1] = 0.0  # the peak characteristics are exact fixed points
     return dZ
@@ -183,57 +190,29 @@ def integrate_linear(ic: InitialCondition, t_end: float, dt: float = 1e-3,
 
     All characteristics advance in lockstep; the system is diagonal over s
     once vbar is frozen, so the work per step is O(n_chars).  States are
-    recorded at the requested save times (snapped to whole steps, t_end by
-    default).  The peak value V[0] and the mean W[-1]/(2*pi) are conserved
-    by the flow; the integrator preserves both to rounding because the
-    endpoints are fixed points of the discrete stages.
+    recorded at the requested save times (t_end by default), which must be
+    whole numbers of steps.  The peak value V[0] and the mean W[-1]/(2*pi)
+    are conserved by the flow; the integrator preserves both to rounding
+    because the endpoints are fixed points of the discrete stages.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if n_chars < 16:
         raise ValueError("need at least 16 characteristics")
-    if save_times is None:
-        save_times = [t_end]
-    steps = sorted({int(round(ts / dt)) for ts in save_times})
-    if steps and steps[-1] * dt > t_end + dt / 2:
-        raise ValueError("save times must lie within [0, t_end]")
-
-    s = cosine_grid(n_chars)
-    Z = np.stack([
-        s.copy(),
-        np.asarray(ic.antiderivative(s), dtype=float),
-        np.asarray(ic.value(s), dtype=float),
-        np.asarray(ic.slope(s), dtype=float),
-        np.ones_like(s),
-    ])
+    _, saves = save_steps(t_end, dt, save_times)
+    start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
-
-    times, states = [], []
-
-    def record(k):
-        t = k * dt
-        times.append(t)
-        states.append(CharacteristicState(
-            t=t, s=s, X=Z[0].copy(), V=Z[2].copy(), W=Z[1].copy(),
-            U=Z[3].copy(), J=Z[4].copy(), vbar=ic.vbar))
-
+    rhs = lambda t, Z: (_linear_rhs(Z, pmv), None)  # autonomous, no side output
+    Z = start.stack()
+    states = []
     k = 0
-    if steps and steps[0] == 0:
-        record(0)
-        steps = steps[1:]
-    for target in steps:
+    for target in saves:
         while k < target:
-            k1 = _linear_rhs(Z, pmv)
-            k2 = _linear_rhs(Z + 0.5 * dt * k1, pmv)
-            k3 = _linear_rhs(Z + 0.5 * dt * k2, pmv)
-            k4 = _linear_rhs(Z + dt * k3, pmv)
-            Z = Z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Z, _ = rk4_step(rhs, k * dt, Z, dt)
             k += 1
             if not np.all(np.isfinite(Z)):
                 raise IntegrationError("non-finite state in linear integration",
                                        last_valid_time=(k - 1) * dt)
-        record(k)
-    return LinearTrajectory(times=np.array(times), states=states)
+        states.append(start.unstack(Z, k * dt))
+    return LinearTrajectory(times=np.array([st.t for st in states]), states=states)
 
 
 @dataclass(frozen=True)
@@ -266,9 +245,6 @@ def h1_constants(ic: InitialCondition, n_chars: int = 2048) -> H1ForecastConstan
     S(t) = int phi' (v^2 + v_x^2/2) close into P' = -M S,
     S' = -P/M + C3, and the squared H^1 norm follows from M E = 2P + C1.
     """
-    from .energetics import energies  # deferred: energetics depends on state only
-    from .state import initial_state
-
     rep = energies(initial_state(ic, n_chars))
     E0, P0, S0 = rep.E_v, rep.P, rep.S
     v_at_peak = ic.v0_at_0

@@ -42,9 +42,10 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .convolution import node_convolutions
-from .kernel import M, TWO_PI, m, phi, phi_open_interval, phi_prime_open_interval
+from .kernel import M, TWO_PI, m, phi
+from .linear import _linear_rhs
 from .profiles import InitialCondition
-from .state import CharacteristicState, cosine_grid
+from .state import CharacteristicState, initial_state, rk4_step, save_steps
 
 
 @dataclass(frozen=True)
@@ -95,24 +96,18 @@ class NonlinearTrajectory:
 
 
 def _rhs(s: np.ndarray, Z: np.ndarray, pmv: float):
-    """Stage derivative for stacked Z = (X, W, V, U, J); returns (dZ, Q0, P0)."""
+    """Stage derivative for stacked Z = (X, W, V, U, J); returns (dZ, (Q0, P0))."""
     X, W, V, U, J = Z
     Q, P = node_convolutions(s, X, V, U, J)
-    ph = phi_open_interval(X)
-    php = phi_prime_open_interval(X)  # one-sided at the fixed endpoints
-    coshX = np.cosh(X)
-    sinhX = np.sinh(X)
     v0 = V[0]
     p0 = P[0]
-    dZ = np.stack([
-        ph - M + V - v0,
-        php * W + pmv * (1.0 - coshX) + 0.5 * (V * V - v0 * v0) - P + p0,
-        ph * W - pmv * sinhX - Q,
-        php * (W - U) + ph * V - pmv * coshX - 0.5 * U * U + V * V - P,
-        (php + U) * J,
-    ])
+    dZ = _linear_rhs(Z, pmv, stretch=U)
+    dZ[0] = dZ[0] + V - v0
+    dZ[1] = dZ[1] + 0.5 * (V * V - v0 * v0) - P + p0
+    dZ[2] = dZ[2] - Q
+    dZ[3] = dZ[3] - 0.5 * U * U + V * V - P
     dZ[0, 0] = dZ[0, -1] = 0.0  # the peak characteristics are exact fixed points
-    return dZ, float(Q[0]), p0
+    return dZ, (float(Q[0]), p0)
 
 
 def nl_rhs(state: CharacteristicState) -> StateDerivative:
@@ -121,10 +116,15 @@ def nl_rhs(state: CharacteristicState) -> StateDerivative:
     Zero perturbation reduces to the pure characteristic flow
     (dX = phi - M, dJ = phi' J); the peak value moves with -Q[v](0).
     """
-    Z = np.stack([state.X, state.W, state.V, state.U, state.J])
-    dZ, q0, _ = _rhs(state.s, Z, math.pi * m * m * state.vbar)
+    dZ, (q0, _) = _rhs(state.s, state.stack(), math.pi * m * m * state.vbar)
     return StateDerivative(dX=dZ[0], dV=dZ[2], dW=dZ[1], dU=dZ[3], dJ=dZ[4],
                            dv_peak=-q0)
+
+
+def _peak_record(t, Z, q0_p0):
+    """Diagnostics row (t, V|peak, P(0), Q(0), U+, U-) of the state Z."""
+    q0, p0 = q0_p0
+    return t, Z[2, 0], p0, q0, Z[3, 0], Z[3, -1]
 
 
 def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
@@ -133,100 +133,53 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     """Fixed-step RK4 for the nonlinear characteristic system.
 
     Advances until ``t_end`` or until breaking is detected (max|U| at or
-    above ``slope_threshold``, or a non-finite state).  Returns the
-    trajectory (states at the requested save times that were reached, dense
-    peak diagnostics every step) and a :class:`BlowupReport`.
+    above ``slope_threshold``, or a non-finite state).  t_end and the save
+    times must be whole numbers of steps.  Returns the trajectory (states at
+    the requested save times that were reached, dense peak diagnostics every
+    step) and a :class:`BlowupReport`.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if n_chars < 16:
         raise ValueError("need at least 16 characteristics")
     if slope_threshold <= 0:
         raise ValueError("slope_threshold must be positive")
-    if save_times is None:
-        save_times = [t_end]
-    save_steps = sorted({int(round(ts / dt)) for ts in save_times})
-    if save_steps and save_steps[-1] * dt > t_end + dt / 2:
-        raise ValueError("save times must lie within [0, t_end]")
-    n_steps = int(round(t_end / dt))
-
-    s = cosine_grid(n_chars)
-    Z = np.stack([
-        s.copy(),
-        np.asarray(ic.antiderivative(s), dtype=float),
-        np.asarray(ic.value(s), dtype=float),
-        np.asarray(ic.slope(s), dtype=float),
-        np.ones_like(s),
-    ])
+    n_steps, saves = save_steps(t_end, dt, save_times)
+    start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
+    rhs = lambda t, Z: _rhs(start.s, Z, pmv)  # autonomous; side output (Q0, P0)
 
-    times, states = [], []
-    diag = {"t": [], "v_peak": [], "p0": [], "q0": [], "ur": [], "ul": []}
-
-    def record_diag(t, q0, p0):
-        diag["t"].append(t)
-        diag["v_peak"].append(Z[2, 0])
-        diag["p0"].append(p0)
-        diag["q0"].append(q0)
-        diag["ur"].append(Z[3, 0])
-        diag["ul"].append(Z[3, -1])
-
-    def record_state(k):
-        t = k * dt
-        times.append(t)
-        states.append(CharacteristicState(
-            t=t, s=s, X=Z[0].copy(), V=Z[2].copy(), W=Z[1].copy(),
-            U=Z[3].copy(), J=Z[4].copy(), vbar=ic.vbar))
-
-    if save_steps and save_steps[0] == 0:
-        record_state(0)
-        save_steps = save_steps[1:]
-
+    Z = start.stack()
+    states = [start] if saves[:1] == [0] else []
+    records = []
     status, t_stop, max_slope = "completed", 0.0, float(np.max(np.abs(Z[3])))
-    save_iter = iter(save_steps)
-    next_save = next(save_iter, None)
     # overflow past the threshold is the detection signal, not an anomaly
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
+        for k in range(n_steps):
             # the first stage is the derivative at the current state: reuse
             # it for the dense diagnostics instead of a separate evaluation
-            k1, q0, p0 = _rhs(s, Z, pmv)
-            record_diag((k - 1) * dt, q0, p0)
-            k2, _, _ = _rhs(s, Z + 0.5 * dt * k1, pmv)
-            k3, _, _ = _rhs(s, Z + 0.5 * dt * k2, pmv)
-            k4, _, _ = _rhs(s, Z + dt * k3, pmv)
-            Z_new = Z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Z_new, q0_p0 = rk4_step(rhs, k * dt, Z, dt)
+            records.append(_peak_record(k * dt, Z, q0_p0))
             if not np.all(np.isfinite(Z_new)):
                 status = "blew_up"
-                t_stop = (k - 1) * dt
                 max_slope = math.inf  # unbounded within one step
                 break
-            Z = Z_new
-            t = k * dt
+            Z, t_stop = Z_new, (k + 1) * dt
             slope_now = float(np.max(np.abs(Z[3])))
             max_slope = max(max_slope, slope_now)
-            t_stop = t
-            if next_save is not None and k == next_save:
-                record_state(k)
-                next_save = next(save_iter, None)
+            if k + 1 in saves:
+                states.append(start.unstack(Z, t_stop))
             if slope_now >= slope_threshold:
                 status = "blew_up"
-                _, q0, p0 = _rhs(s, Z, pmv)
-                record_diag(t, q0, p0)
                 break
-        else:
-            _, q0, p0 = _rhs(s, Z, pmv)
-            record_diag(n_steps * dt, q0, p0)
+        if math.isfinite(max_slope):  # a non-finite stop leaves no state to record
+            records.append(_peak_record(t_stop, Z, rhs(t_stop, Z)[1]))
 
-    history = np.column_stack([np.array(diag["t"]), np.array(diag["ur"])])
-    report = BlowupReport(status=status, t_stop=t_stop,
-                          max_abs_slope=max_slope, u_plus_history=history)
+    diag_t, v_peak, p0, q0, u_right, u_left = np.array(records).T
+    report = BlowupReport(status=status, t_stop=t_stop, max_abs_slope=max_slope,
+                          u_plus_history=np.column_stack([diag_t, u_right]))
     traj = NonlinearTrajectory(
-        times=np.array(times), states=states,
-        diag_t=np.array(diag["t"]), diag_v_peak=np.array(diag["v_peak"]),
-        diag_p0=np.array(diag["p0"]), diag_q0=np.array(diag["q0"]),
-        diag_u_right=np.array(diag["ur"]), diag_u_left=np.array(diag["ul"]),
-        vbar=ic.vbar)
+        times=np.array([st.t for st in states]), states=states, diag_t=diag_t,
+        diag_v_peak=v_peak, diag_p0=p0, diag_q0=q0, diag_u_right=u_right,
+        diag_u_left=u_left, vbar=ic.vbar)
     return traj, report
 
 
@@ -266,31 +219,19 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
     v0_f = PchipInterpolator(t_grid, trajectory.diag_v_peak)
     p0_f = PchipInterpolator(t_grid, trajectory.diag_p0)
     pmv = math.pi * m * m * trajectory.vbar
+    sign = np.array([1.0, -1.0])
 
-    def rhs(t, u, sign):
-        drive = M * v0_f(t) - pmv + v0_f(t) ** 2 - p0_f(t)
-        return sign * u - 0.5 * u * u + drive
+    def rhs(t, u):
+        v0 = v0_f(t)
+        return sign * u - 0.5 * u * u + (M * v0 - pmv + v0 ** 2 - p0_f(t)), None
 
-    res_r, res_l = 0.0, 0.0
-    u_r, u_l = float(u_plus_0), float(u_minus_0)
+    carried = np.column_stack([trajectory.diag_u_right, trajectory.diag_u_left])
+    u = np.array([u_plus_0, u_minus_0], dtype=float)
+    res = np.abs(u - carried[0])
     for i in range(len(t_grid) - 1):
-        res_r = max(res_r, abs(u_r - trajectory.diag_u_right[i]))
-        res_l = max(res_l, abs(u_l - trajectory.diag_u_left[i]))
-        t0, t1 = t_grid[i], t_grid[i + 1]
-        h = t1 - t0
-        for sign, u in (( +1.0, u_r), (-1.0, u_l)):
-            a = rhs(t0, u, sign)
-            b = rhs(t0 + h / 2, u + h / 2 * a, sign)
-            c = rhs(t0 + h / 2, u + h / 2 * b, sign)
-            d = rhs(t1, u + h * c, sign)
-            unew = u + h / 6 * (a + 2 * b + 2 * c + d)
-            if sign > 0:
-                u_r = unew
-            else:
-                u_l = unew
-    res_r = max(res_r, abs(u_r - trajectory.diag_u_right[-1]))
-    res_l = max(res_l, abs(u_l - trajectory.diag_u_left[-1]))
-    return res_r, res_l
+        u, _ = rk4_step(rhs, t_grid[i], u, t_grid[i + 1] - t_grid[i])
+        res = np.maximum(res, np.abs(u - carried[i + 1]))
+    return float(res[0]), float(res[1])
 
 
 def _riccati_roots(forcing: float):

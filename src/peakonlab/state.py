@@ -9,12 +9,16 @@ U[0] is the slope just right of the peak, U[-1] just left of it.
 
 Boundary identities that every valid state satisfies: X[0] = 0,
 X[-1] = 2*pi, W[0] = 0, W[-1] = 2*pi*vbar, V[0] = V[-1] (the peak value).
+
+The linear and nonlinear integrators share the t = 0 state, the fixed-step
+timeline (:func:`save_steps`) and the RK4 step (:func:`rk4_step`) defined
+here; they advance the fields stacked as rows (X, W, V, U, J).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +57,15 @@ class CharacteristicState:
         """Perturbation value at the peak (carried by the s = 0 endpoint)."""
         return float(self.V[0])
 
+    def stack(self) -> np.ndarray:
+        """The fields as the rows (X, W, V, U, J) the integrators advance."""
+        return np.stack([self.X, self.W, self.V, self.U, self.J])
+
+    def unstack(self, Z: np.ndarray, t: float) -> CharacteristicState:
+        """This state's grid and mean at time t, with fields copied from rows of Z."""
+        X, W, V, U, J = (row.copy() for row in Z)
+        return replace(self, t=t, X=X, V=V, W=W, U=U, J=J)
+
     def validate(self, atol: float = 1e-8) -> None:
         arrays = (self.s, self.X, self.V, self.W, self.U, self.J)
         n = len(self.s)
@@ -85,3 +98,40 @@ def initial_state(ic: InitialCondition, n_chars: int) -> CharacteristicState:
         J=np.ones_like(s),
         vbar=ic.vbar,
     )
+
+
+def save_steps(t_end: float, dt: float, save_times=None):
+    """Step counts (to t_end, to each save time) of a fixed-step run.
+
+    Save times default to [t_end].  Every time must be a whole number of
+    steps within [0, t_end]; the save steps come back sorted and unique.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+    def steps(t):
+        q = t / dt
+        if not math.isfinite(q) or abs(q - round(q)) > 1e-6:
+            raise ValueError(f"time {t!r} is not a whole number of steps dt={dt!r}")
+        return int(round(q))
+
+    n_end = steps(t_end)
+    if n_end < 0:
+        raise ValueError("t_end must be nonnegative")
+    saves = sorted({steps(t) for t in ([t_end] if save_times is None else save_times)})
+    if saves and (saves[0] < 0 or saves[-1] > n_end):
+        raise ValueError("save times must lie within [0, t_end]")
+    return n_end, saves
+
+
+def rk4_step(rhs, t: float, Z: np.ndarray, h: float):
+    """One classical Runge-Kutta step of dZ/dt = f(t, Z).
+
+    ``rhs(t, Z)`` returns (f(t, Z), extra); the step returns the new Z and
+    the first stage's extra, i.e. side output taken at the current state.
+    """
+    k1, extra = rhs(t, Z)
+    k2, _ = rhs(t + 0.5 * h, Z + 0.5 * h * k1)
+    k3, _ = rhs(t + 0.5 * h, Z + 0.5 * h * k2)
+    k4, _ = rhs(t + h, Z + h * k3)
+    return Z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), extra

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import reduce_angle
+from .kernel import m, phi, phi_prime
 
 
 class ClassificationError(RuntimeError):
@@ -55,21 +55,17 @@ class WaveFamily:
 
 
 class PeakedProfile:
-    """Member of the peaked scaling family: m_phi * cosh(pi - |x|)."""
+    """Member of the peaked scaling family: m_phi * cosh(pi - |x|) = (m_phi/m) phi."""
 
     def __init__(self, m_phi: float):
         self.m_phi = m_phi
 
     def __call__(self, x):
-        r = np.abs(reduce_angle(x))
-        out = self.m_phi * np.cosh(math.pi - r)
-        return out if isinstance(out, np.ndarray) else float(out)
+        return (self.m_phi / m) * phi(x)
 
     def derivative(self, x):
         """Piecewise derivative; jump midpoint (0) at the crest."""
-        r = reduce_angle(x)
-        out = -np.sign(r) * self.m_phi * np.sinh(math.pi - np.abs(r))
-        return out if isinstance(out, np.ndarray) else float(out)
+        return (self.m_phi / m) * phi_prime(x)
 
 
 def _critical_point_poly(a: float, c: float):

@@ -179,6 +179,11 @@ def test_save_time_validation():
         integrate_linear(sine(), 1.0, dt=-1e-2, n_chars=32)
     with pytest.raises(ValueError):
         integrate_linear(sine(), 1.0, dt=1e-2, n_chars=4)
+    # times that are not whole steps are rejected, not snapped
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate_linear(sine(), 1.0, dt=0.3, n_chars=32)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate_linear(sine(), 1.0, dt=0.25, n_chars=32, save_times=[0.3, 1.0])
 
 
 # ------------------------------------------------------------- growth laws

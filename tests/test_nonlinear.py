@@ -141,6 +141,11 @@ def test_input_validation():
         integrate_nonlinear(sine(), 1.0, dt=1e-3, n_chars=64, slope_threshold=-1.0)
     with pytest.raises(ValueError):
         integrate_nonlinear(sine(), 1.0, dt=1e-3, n_chars=64, save_times=[5.0])
+    # a run must not report "completed" short of t_end
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate_nonlinear(sine(), 1.0, dt=0.3, n_chars=64)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate_nonlinear(sine(), 1.0, dt=0.25, n_chars=64, save_times=[0.3])
 
 
 # ------------------------------------------------------- peak slope forecast
