@@ -86,14 +86,21 @@ class CharacteristicState:
 
 
 def initial_state(ic: InitialCondition, n_chars: int) -> CharacteristicState:
-    """t = 0 state on the cosine-stretched grid: X = s, J = 1."""
+    """t = 0 state on the cosine-stretched grid: X = s, J = 1.
+
+    W(2*pi) is seeded with 2*pi*vbar exactly: the closed-form antiderivative
+    leaves an O(eps) remainder there (sin(2*pi k) != 0 in floating point),
+    which the endpoint equation dW/dt = W + ... amplifies like e^t.
+    """
     s = cosine_grid(n_chars)
+    W = np.asarray(ic.antiderivative(s), dtype=float)
+    W[-1] = TWO_PI * ic.vbar
     return CharacteristicState(
         t=0.0,
         s=s,
         X=s.copy(),
         V=np.asarray(ic.value(s), dtype=float),
-        W=np.asarray(ic.antiderivative(s), dtype=float),
+        W=W,
         U=np.asarray(ic.slope(s), dtype=float),
         J=np.ones_like(s),
         vbar=ic.vbar,
