@@ -195,8 +195,6 @@ def integrate_linear(ic: InitialCondition, t_end: float, dt: float = 1e-3,
     are conserved by the flow; the integrator preserves both to rounding
     because the endpoints are fixed points of the discrete stages.
     """
-    if n_chars < 16:
-        raise ValueError("need at least 16 characteristics")
     _, saves = save_steps(t_end, dt, save_times)
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar

@@ -138,8 +138,6 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     the requested save times that were reached, dense peak diagnostics every
     step) and a :class:`BlowupReport`.
     """
-    if n_chars < 16:
-        raise ValueError("need at least 16 characteristics")
     if slope_threshold <= 0:
         raise ValueError("slope_threshold must be positive")
     n_steps, saves = save_steps(t_end, dt, save_times)

@@ -92,15 +92,15 @@ def initial_state(ic: InitialCondition, n_chars: int) -> CharacteristicState:
     leaves an O(eps) remainder there (sin(2*pi k) != 0 in floating point),
     which the endpoint equation dW/dt = W + ... amplifies like e^t.
     """
+    if n_chars < 16:
+        raise ValueError("need at least 16 characteristics")
     s = cosine_grid(n_chars)
-    W = np.asarray(ic.antiderivative(s), dtype=float)
-    W[-1] = TWO_PI * ic.vbar
     return CharacteristicState(
         t=0.0,
         s=s,
         X=s.copy(),
         V=np.asarray(ic.value(s), dtype=float),
-        W=W,
+        W=np.append(ic.antiderivative(s[:-1]), TWO_PI * ic.vbar),
         U=np.asarray(ic.slope(s), dtype=float),
         J=np.ones_like(s),
         vbar=ic.vbar,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from peakonlab import cli
 from peakonlab.cli import (ConfigError, ScenarioConfig, main, parse_config_file,
@@ -28,6 +30,18 @@ def test_parse_ic_spec_basic():
     # a '+' inside an exponent does not split terms
     assert parse_ic_spec("1e+3*sin") == (0.0, (), (1e3,))
     assert parse_ic_spec("2.5e-1*cos2+1E+0") == (1.0, (0.0, 0.25), ())
+
+
+_COEF = hst.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(constant=_COEF, cos_c=hst.lists(_COEF, max_size=3), sin_c=hst.lists(_COEF, max_size=3))
+def test_parse_ic_spec_round_trips_repr(constant, cos_c, sin_c):
+    # repr writes exponents as e+NN / e-NN; every written double reads back exactly
+    terms = ([repr(constant)] + [f"{c!r}*cos{k}" for k, c in enumerate(cos_c, start=1)]
+             + [f"{c!r}*sin{k}" for k, c in enumerate(sin_c, start=1)])
+    assert parse_ic_spec("+".join(terms)) == (constant, tuple(cos_c), tuple(sin_c))
 
 
 def test_parse_ic_spec_errors():

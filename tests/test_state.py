@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from peakonlab.profiles import bump, sine
+from peakonlab.linear import integrate_linear
+from peakonlab.nonlinear import integrate_nonlinear
+from peakonlab.profiles import InitialCondition, bump, cosine, sine
 from peakonlab.state import CharacteristicState, cosine_grid, initial_state
 
 TWO_PI = 2.0 * math.pi
@@ -56,3 +60,25 @@ def test_validate_rejects_broken_states():
 def test_grid_size_guard():
     with pytest.raises(ValueError):
         cosine_grid(1)
+
+
+_AMPLITUDE = hst.floats(-0.5, 0.5)
+_PROFILES = hst.one_of(
+    hst.builds(sine, _AMPLITUDE, hst.integers(1, 3)),
+    hst.builds(cosine, _AMPLITUDE, hst.integers(1, 3)),
+    hst.builds(bump, _AMPLITUDE),
+    hst.builds(lambda c: InitialCondition(constant=c), _AMPLITUDE),
+)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(ic=_PROFILES, n_chars=hst.integers(16, 64), steps=hst.integers(1, 20),
+       dt=hst.sampled_from([1e-3, 1e-2, 5e-2]))
+def test_integrated_states_keep_invariants(ic, n_chars, steps, dt):
+    t_end = steps * dt
+    linear_run = integrate_linear(ic, t_end, dt=dt, n_chars=n_chars)
+    nonlinear_run, report = integrate_nonlinear(ic, t_end, dt=dt, n_chars=n_chars)
+    assert report.status == "completed"
+    for st in (linear_run.states[-1], nonlinear_run.states[-1]):
+        assert st.t == steps * dt
+        st.validate()
