@@ -139,14 +139,14 @@ def _kernel_arrays(which: str, d: np.ndarray):
 
 
 def convolve_samples(which: Literal["phi", "phi_prime"], frame, x: float) -> float:
-    """Corner-split quadrature of int K(x - y) w dy over sampled density data.
+    """Corner-split quadrature of int K(x - y(tau)) w(tau) dtau on samples.
 
     ``frame`` is (y, tau, w, wp, dpos): increasing positions y spanning
     [0, 2*pi], the integration variable tau at those nodes, the density w
     and its tau-derivative wp, and dy/dtau (ones when tau = y).  The panel
     holding the kernel corner y = x (mod 2*pi) is split there with one-sided
-    kernel data, and density data at the split comes from the quadratic
-    through the three nearest nodes, so the corner costs no accuracy.
+    kernel data; density data at the split comes from the quadratic through
+    the three nearest nodes, so the rule keeps its fourth order.
     """
     y, tau, w, wp, dpos = frame
     n_last = len(y) - 1
