@@ -38,6 +38,7 @@ import numpy as np
 from . import energetics, linear, nonlinear, waves
 from .kernel import M, TWO_PI
 from .profiles import InitialCondition
+from .state import save_steps
 
 MODES = ("linear-exact", "linear-ode", "nonlinear", "energies", "classify")
 
@@ -81,6 +82,11 @@ class ScenarioConfig:
             if self.slope_threshold <= 0:
                 raise ConfigError("threshold must be positive")
             parse_ic_spec(self.ic_spec)
+            if self.mode != "linear-exact":
+                try:
+                    save_steps(self.t_samples[-1], self.dt, self.t_samples)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
         else:
             if self.c <= 0:
                 raise ConfigError("c must be positive")
@@ -343,7 +349,12 @@ def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 1  # usage error; exit code 2 means wave breaking
     try:
         config = config_from_args(args)
         return run_scenario(config)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import TWO_PI, m
-from .quadrature import fd_derivative, panel_integrals
+from .quadrature import cumulative_integral, fd_derivative
 
 @dataclass(frozen=True)
 class DensitySample:
@@ -125,9 +125,10 @@ def node_convolutions(s: np.ndarray, X: np.ndarray, V: np.ndarray,
     """Q[v] and P[v] at every characteristic node in O(n).
 
     Splitting the kernel's cosh/sinh of (X_i - X_j) by addition formulas
-    turns both convolutions into four cumulative corrected-trapezoid sums of
-    cosh(X) g and sinh(X) g with g = q J, evaluated in the characteristic
-    parameter s.  The result is algebraically the panel-split rule of
+    turns both convolutions into two running Hermite integrals
+    (:func:`.quadrature.cumulative_integral`) of cosh(X) g and sinh(X) g with
+    g = q J in the characteristic parameter s, each read from below and from
+    above every node.  The result is algebraically the panel-split rule of
     :func:`conv_q`/:func:`conv_p` with the true parameter spacings, at O(n)
     instead of O(n^2).  Used by the nonlinear integrator each stage.
     """
@@ -139,11 +140,8 @@ def node_convolutions(s: np.ndarray, X: np.ndarray, V: np.ndarray,
     h_s = sX * g
     hp_c = sX * J * g + cX * gp
     hp_s = cX * J * g + sX * gp
-    ds = np.diff(s)
-    pan_c = panel_integrals(ds, h_c[:-1], h_c[1:], hp_c[:-1], hp_c[1:])
-    pan_s = panel_integrals(ds, h_s[:-1], h_s[1:], hp_s[:-1], hp_s[1:])
-    low_c = np.concatenate(([0.0], np.cumsum(pan_c)))
-    low_s = np.concatenate(([0.0], np.cumsum(pan_s)))
+    low_c = cumulative_integral(s, h_c, hp_c)
+    low_s = cumulative_integral(s, h_s, hp_s)
     high_c = low_c[-1] - low_c
     high_s = low_s[-1] - low_s
 

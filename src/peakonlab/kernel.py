@@ -27,7 +27,6 @@ order for jump integrands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -45,25 +44,7 @@ M = math.cosh(math.pi) / math.sinh(math.pi)
 #: trough height of the kernel, csch(pi)
 m = 1.0 / math.sinh(math.pi)
 
-#: speed of the peaked traveling wave (the crest moves with the local flow)
-WAVE_SPEED = M
-
 Side = Literal["left", "right", "interior"]
-
-
-@dataclass(frozen=True)
-class GreenKernel:
-    """Crest/trough constants of the periodic kernel.
-
-    Invariants: M**2 - m**2 == 1 (hyperbolic identity), M = phi(0),
-    m = phi(+-pi).
-    """
-
-    M: float
-    m: float
-
-
-KERNEL = GreenKernel(M=M, m=m)
 
 
 def reduce_angle(x):
@@ -145,8 +126,9 @@ def convolve_samples(which: Literal["phi", "phi_prime"], frame, x: float) -> flo
     [0, 2*pi], the integration variable tau at those nodes, the density w
     and its tau-derivative wp, and dy/dtau (ones when tau = y).  The panel
     holding the kernel corner y = x (mod 2*pi) is split there with one-sided
-    kernel data; density data at the split comes from the quadratic through
-    the three nearest nodes, so the rule keeps its fourth order.
+    kernel data.  Density data at the split is the node's own when the corner
+    sits on a node, else the quadratic through the three nearest nodes, so
+    the rule keeps its fourth order.
     """
     y, tau, w, wp, dpos = frame
     n_last = len(y) - 1
@@ -162,54 +144,26 @@ def convolve_samples(which: Literal["phi", "phi_prime"], frame, x: float) -> flo
         return ordered_sum(panel_integrals(dt[keep], fs[:-1][keep], fs[1:][keep],
                                            fps[:-1][keep], fps[1:][keep]))
 
-    if xr == 0.0:
-        # corner at both domain ends; interior formulas already give the
-        # correct branch at y = 2*pi, only the y = 0 node needs the d->0- side
-        F0 = K_jump[1] * w[0]
-        Fp0 = -Kd_jump[1] * dpos[0] * w[0] + K_jump[1] * wp[0]
-        fs = np.concatenate(([F0], F[1:]))
-        fps = np.concatenate(([Fp0], Fp[1:]))
-        return piece(tau, fs, fps)
-
+    # nodes [:lo] lie below the corner and nodes [hi:] above it; x = 0 is the
+    # corner on node 0, whose lower piece is empty
+    rows = (tau, w, wp, dpos)
     idx = int(np.searchsorted(y, xr))
-    on_node = None
-    for cand in (idx - 1, idx, idx + 1):
-        if 0 <= cand <= n_last and abs(y[cand] - xr) < _JUMP_SNAP:
-            on_node = cand
-            break
-    if on_node is not None:
-        j = on_node
-        F_lo = K_jump[0] * w[j]
-        Fp_lo = -Kd_jump[0] * dpos[j] * w[j] + K_jump[0] * wp[j]
-        F_hi = K_jump[1] * w[j]
-        Fp_hi = -Kd_jump[1] * dpos[j] * w[j] + K_jump[1] * wp[j]
-        lower = piece(tau[:j + 1],
-                      np.concatenate((F[:j], [F_lo])),
-                      np.concatenate((Fp[:j], [Fp_lo])))
-        upper = piece(tau[j:],
-                      np.concatenate(([F_hi], F[j + 1:])),
-                      np.concatenate(([Fp_hi], Fp[j + 1:])))
-        return lower + upper
-
-    # split the panel containing the corner; density data at the split point
-    # comes from the quadratic through the three nearest nodes
-    k = idx - 1
-    lo = min(max(k - 1, 0), n_last - 2)
-    sl = slice(lo, lo + 3)
-    w_x = _quadratic_at(y[sl], w[sl], xr)
-    wp_x = _quadratic_at(y[sl], wp[sl], xr)
-    dpos_x = _quadratic_at(y[sl], dpos[sl], xr)
-    tau_x = _quadratic_at(y[sl], tau[sl], xr)
-    F_lo = K_jump[0] * w_x
-    Fp_lo = -Kd_jump[0] * dpos_x * w_x + K_jump[0] * wp_x
-    F_hi = K_jump[1] * w_x
-    Fp_hi = -Kd_jump[1] * dpos_x * w_x + K_jump[1] * wp_x
-    lower = piece(np.concatenate((tau[:k + 1], [tau_x])),
-                  np.concatenate((F[:k + 1], [F_lo])),
-                  np.concatenate((Fp[:k + 1], [Fp_lo])))
-    upper = piece(np.concatenate(([tau_x], tau[k + 1:])),
-                  np.concatenate(([F_hi], F[k + 1:])),
-                  np.concatenate(([Fp_hi], Fp[k + 1:])))
+    j = next((j for j in (idx - 1, idx, idx + 1)
+              if 0 <= j <= n_last and abs(y[j] - xr) < _JUMP_SNAP), None)
+    if j is not None:
+        lo, hi = j, j + 1
+        tau_x, w_x, wp_x, dpos_x = (row[j] for row in rows)
+    else:
+        lo = hi = idx
+        first = min(max(idx - 2, 0), n_last - 2)
+        sl = slice(first, first + 3)
+        tau_x, w_x, wp_x, dpos_x = (_quadratic_at(y[sl], row[sl], xr) for row in rows)
+    (F_lo, Fp_lo), (F_hi, Fp_hi) = ((Kj * w_x, -Kdj * dpos_x * w_x + Kj * wp_x)
+                                    for Kj, Kdj in zip(K_jump, Kd_jump))
+    lower = piece(*(np.concatenate((row[:lo], [x]))
+                    for row, x in zip((tau, F, Fp), (tau_x, F_lo, Fp_lo))))
+    upper = piece(*(np.concatenate(([x], row[hi:]))
+                    for row, x in zip((tau, F, Fp), (tau_x, F_hi, Fp_hi))))
     return lower + upper
 
 

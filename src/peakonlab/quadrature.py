@@ -64,12 +64,10 @@ def ordered_sum(terms: np.ndarray) -> float:
 
 
 def integrate_samples(x: np.ndarray, f: np.ndarray,
-                      derivative: np.ndarray | None = None,
-                      corrected: bool = True) -> float:
-    """Integrate samples f over the increasing nodes x.
+                      derivative: np.ndarray | None = None) -> float:
+    """Integrate samples f over the increasing nodes x by Hermite panels.
 
-    With ``corrected=True`` (the default) the Hermite panel rule is used; a
-    missing ``derivative`` array is replaced by :func:`fd_derivative`, which
+    A missing ``derivative`` array is replaced by :func:`fd_derivative`, which
     keeps the composite rule fourth order for smooth data and degrades
     gracefully to second order across interior corners.
     """
@@ -79,21 +77,18 @@ def integrate_samples(x: np.ndarray, f: np.ndarray,
         raise ValueError("nodes and samples must be 1-d arrays of equal length")
     if len(x) < 2:
         raise ValueError("need at least 2 nodes")
-    dx = np.diff(x)
-    if np.any(dx <= 0):
+    if np.any(np.diff(x) <= 0):
         raise ValueError("nodes must be strictly increasing")
-    if corrected and derivative is None and len(x) >= 3:
-        derivative = fd_derivative(x, f)
-    if corrected and derivative is not None:
-        panels = panel_integrals(dx, f[:-1], f[1:], derivative[:-1], derivative[1:])
-    else:
-        panels = panel_integrals(dx, f[:-1], f[1:])
-    return ordered_sum(panels)
+    return float(cumulative_integral(x, f, derivative)[-1])
 
 
 def cumulative_integral(x: np.ndarray, f: np.ndarray,
                         derivative: np.ndarray | None = None) -> np.ndarray:
-    """Running integral from x[0] to every node, Hermite panels throughout."""
+    """Running integral from x[0] to every node, Hermite panels throughout.
+
+    The one panel sum: :func:`integrate_samples` and the O(n) convolutions
+    read their integrals off it.
+    """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
     dx = np.diff(x)

@@ -24,9 +24,9 @@ and the sign of a sorts the families:
           -a < 4 c^3/27); smooth periodic orbits live inside the homoclinic
           loop around phi_2.
 
-Roots are located by a sign-change scan over [-10c, c) and (c, 10c] followed
-by bisection: robust, deterministic, and degenerate (double-root) parameter
-choices are reported rather than silently misclassified.
+Roots are located by a sign-change scan over [-max(10c, a/(121c^2)), c) and
+(c, 10c] followed by bisection: robust, deterministic, and degenerate
+(double-root) parameter choices are reported rather than silently misclassified.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ class PeakedProfile:
         return (self.m_phi / m) * phi_prime(x)
 
 
-def _critical_point_poly(a: float, c: float):
-    return lambda p: p * (c - p) ** 2 + a
-
-
 def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
     flo = f(lo)
     for _ in range(iters):
@@ -107,17 +103,18 @@ def classify(a: float, c: float) -> WaveFamily:
 
     Critical points are the real roots of phi (c - phi)^2 + a = 0 away from
     the singular level phi = c.  Raises :class:`ClassificationError` when the
-    expected root count is not found (degenerate fold -a ~ 4c^3/27, or
-    parameters outside the scan range); never misclassifies silently.
+    expected root count is not found (-a at or beyond the fold 4c^3/27);
+    never misclassifies silently.
     """
     if c <= 0:
         raise ValueError("wave speed c must be positive")
     if a == 0.0:
         return WaveFamily(a=0.0, b=None, c=c, critical_points=(0.0,), family="peaked")
 
-    f = _critical_point_poly(a, c)
+    f = lambda p: p * (c - p) ** 2 + a
     margin = 1e-9 * c
-    below = _scan_roots(f, -10.0 * c, c - margin)
+    # for a > 0 the root r < 0 has |r| (c + |r|)^2 = a, so |r| <= max(10c, a/(121c^2))
+    below = _scan_roots(f, -max(10.0 * c, a / (121.0 * c * c)), c - margin)
     above = _scan_roots(f, c + margin, 10.0 * c)
 
     if a > 0:
@@ -155,22 +152,14 @@ def peaked_member(m_phi: float):
     return profile, c, b
 
 
-def first_order_residual(profile, a: float, b: float, c: float, x: float,
-                         derivative: str = "auto") -> float:
+def first_order_residual(profile, a: float, b: float, c: float, x: float) -> float:
     """Residual of (phi')^2 - phi^2 - 2a/(c - phi) - b at one position.
 
-    ``derivative='auto'`` uses the profile's analytic derivative when it has
-    one, otherwise (or with 'fd') central differences with step 1e-6.
-    Evaluation at the singular level phi = c is refused.
+    phi' is the profile's analytic ``derivative``.  Evaluation at the
+    singular level phi = c is refused.
     """
     p = float(profile(x))
     if abs(c - p) < 1e-12 * max(1.0, abs(c)):
         raise ValueError("profile value hits the singular level phi = c")
-    if derivative == "auto" and hasattr(profile, "derivative"):
-        dp = float(profile.derivative(x))
-    elif derivative in ("auto", "fd"):
-        h = 1e-6
-        dp = (float(profile(x + h)) - float(profile(x - h))) / (2.0 * h)
-    else:
-        raise ValueError(f"unknown derivative mode {derivative!r}")
+    dp = float(profile.derivative(x))
     return abs(dp * dp - p * p - 2.0 * a / (c - p) - b)

@@ -193,10 +193,23 @@ def test_error_exit_code_on_bad_ic(tmp_path):
 
 
 def test_error_exit_code_on_partial_step(tmp_path):
-    for mode in ("linear-ode", "nonlinear"):
+    for mode in ("linear-ode", "nonlinear", "energies"):
         code = main([mode, "--ic", "0.01*sin", "--t", "1", "--dt", "0.3",
                      "--nchars", "32", "--out", str(tmp_path / mode)])
         assert code == 1
+        assert not (tmp_path / mode).exists()  # rejected before anything is written
+
+
+def test_usage_errors_exit_1_not_breaking_code(tmp_path):
+    # exit code 2 is reserved for detected wave breaking
+    out = str(tmp_path / "u")
+    assert main(["nonlinear", "--dt", "abc", "--out", out]) == 1
+    assert main(["nonlinear", "--no-such-flag", "--out", out]) == 1
+    assert main(["no-such-mode"]) == 1
+    assert not (tmp_path / "u").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["nonlinear", "--help"])
+    assert exc.value.code == 0
 
 
 def test_unwritable_output_dir_reported():

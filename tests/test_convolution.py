@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from peakonlab import convolution as cv
 from peakonlab.convolution import DensitySample, conv_p, conv_q, node_convolutions, q_density
 from peakonlab.kernel import M, m, phi_open_interval, phi_prime_open_interval
 from peakonlab.profiles import InitialCondition, cosine, sine
 from peakonlab.quadrature import integrate_samples
+from peakonlab.state import cosine_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,6 +160,25 @@ def test_node_convolutions_match_general_path():
     # cosh/sinh(pi + X) factors, which amplifies rounding to ~1e-11
     assert np.max(np.abs(Qf - Qg)) < 1e-10
     assert np.max(np.abs(Pf - Pg)) < 1e-10
+
+
+_UNIT = hst.floats(-1.0, 1.0)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=hst.integers(16, 200), grid=hst.sampled_from(("uniform", "cosine")),
+       constant=_UNIT, cos_c=hst.lists(_UNIT, max_size=3), sin_c=hst.lists(_UNIT, max_size=3),
+       bump=hst.floats(-0.5, 0.5))
+def test_node_convolutions_match_oracle_on_random_profiles(n, grid, constant, cos_c, sin_c, bump):
+    # the O(n) path against the O(n^2) corner-split oracle, relative to int q
+    s = np.linspace(0.0, TWO_PI, n) if grid == "uniform" else cosine_grid(n)
+    ic = InitialCondition(cosine_coeffs=cos_c, sine_coeffs=sin_c,
+                          bump_amplitude=bump, constant=constant)
+    sample = DensitySample(nodes=s, v=ic.value(s), vx=ic.slope(s))
+    Qf, Pf = node_convolutions(s, s, sample.v, sample.vx, 1)
+    tol = 1e-10 * integrate_samples(s, q_density(sample))
+    assert np.max(np.abs(Qf - conv_q(sample))) <= tol
+    assert np.max(np.abs(Pf - conv_p(sample))) <= tol
 
 
 def test_node_convolutions_warped_grid_against_fine_reference():

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from peakonlab import kernel
-from peakonlab.kernel import KERNEL, M, m
+from peakonlab.kernel import M, m
 
 
 def test_constants_hyperbolic_identity():
     assert abs(M * M - m * m - 1.0) < 1e-12
-    assert KERNEL.M == M and KERNEL.m == m
 
 
 def test_peak_and_trough_values():

@@ -24,12 +24,6 @@ def test_fourth_order_on_smooth_data():
     assert errs[1] / errs[2] > 10
 
 
-def test_plain_trapezoid_mode():
-    x = np.linspace(0.0, 1.0, 11)
-    val = integrate_samples(x, x, corrected=False)
-    assert val == pytest.approx(0.5, abs=1e-15)
-
-
 def test_fd_derivative_second_order():
     for n, tol in ((50, 3e-3), (100, 8e-4)):
         x = np.linspace(0.0, 2.0, n)

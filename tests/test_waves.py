@@ -17,10 +17,15 @@ def test_classify_zero_constant_is_peaked():
 
 
 def test_classify_positive_constant_is_cusped():
-    fam = classify(0.1, 1.0)
-    assert fam.family == "cusped"
-    assert len(fam.critical_points) == 1
-    assert fam.critical_points[0] < 0.0
+    # from a = 2000 on the negative root lies below -10c, where the scan
+    # must reach |r| (c + |r|)^2 = a
+    for a, c in ((0.1, 1.0), (2000.0, 1.0), (1e6, 1.0), (1e12, 0.5)):
+        fam = classify(a, c)
+        assert fam.family == "cusped"
+        assert len(fam.critical_points) == 1
+        r = fam.critical_points[0]
+        assert r < 0.0
+        assert abs(r * (c - r) ** 2 + a) <= 1e-14 * a
 
 
 def test_classify_negative_constant_is_smooth_candidate():
@@ -88,11 +93,6 @@ def test_peaked_member_scaling_family():
 def test_first_order_residual_analytic_derivative():
     profile, c, b = peaked_member(m)
     assert first_order_residual(profile, 0.0, b, c, 1.0) < 1e-8
-
-
-def test_first_order_residual_fd_derivative():
-    profile, c, b = peaked_member(m)
-    assert first_order_residual(profile, 0.0, b, c, 1.0, derivative="fd") < 1e-4
 
 
 def test_first_order_residual_offset_is_exact():
