@@ -2,7 +2,7 @@
 
 from .convolution import DensitySample, conv_p, conv_q, q_density, reduction_identity_gap
 from .energetics import E_PHI, F_PHI, EnergyReport, check_conserved, energies
-from .kernel import M, m, phi, phi_eval, phi_prime, stationary_residual
+from .kernel import M, m, phi, phi_prime, stationary_residual
 from .linear import (H1ForecastConstants, IntegrationError, LinearTrajectory,
                      exact_characteristic, exact_state, exact_u, exact_v, exact_w, h1_constants,
                      h1_forecast, integrate_linear, peak_slopes_exact)
@@ -13,7 +13,7 @@ from .state import CharacteristicState, cosine_grid, initial_state
 from .waves import ClassificationError, WaveFamily, classify, first_order_residual, peaked_member
 
 __all__ = [
-    "M", "m", "phi", "phi_eval", "phi_prime", "stationary_residual",
+    "M", "m", "phi", "phi_prime", "stationary_residual",
     "DensitySample", "q_density", "conv_q", "conv_p", "reduction_identity_gap",
     "InitialCondition", "sine", "cosine", "bump", "steepest_budget_bump",
     "CharacteristicState", "cosine_grid", "initial_state",

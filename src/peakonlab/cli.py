@@ -128,21 +128,25 @@ def parse_ic_spec(spec: str):
     return constant, tuple(cos_c), tuple(sin_c)
 
 
-_KEY_PARSERS = {
-    "mode": str,
-    "ic": str,
-    "bump": float,
-    "t": lambda v: tuple(float(x) for x in v.split(",") if x.strip() != ""),
-    "dt": float,
-    "nchars": int,
-    "threshold": float,
-    "out": str,
-    "a": float,
-    "c": float,
-}
+def _sample_times(value: str) -> tuple:
+    return tuple(float(x) for x in value.split(",") if x.strip() != "")
 
-_KEY_FIELDS = {"ic": "ic_spec", "t": "t_samples", "nchars": "n_chars",
-               "threshold": "slope_threshold", "out": "out_dir"}
+
+#: scenario key -> (ScenarioConfig field, value parser, flag help); the
+#: config file reads every key, and each key with a help text is a --flag
+_KEYS = {
+    "mode": ("mode", str, None),  # the subcommand on the command line
+    "ic": ("ic_spec", str, "initial condition, e.g. '0.5*sin+0.25*cos3'"),
+    "bump": ("bump", float, "amplitude of the peak-corner bump"),
+    "t": ("t_samples", _sample_times, "comma-separated sample times"),
+    "dt": ("dt", float, "integrator step"),
+    "nchars": ("n_chars", int, "number of characteristics"),
+    "threshold": ("slope_threshold", float, "blow-up slope threshold"),
+    "out": ("out_dir", str, "output directory"),
+    "a": ("a", float, "phase-plane integration constant"),
+    "c": ("c", float, "wave speed (> 0)"),
+}
+_CLASSIFY_ONLY = ("a", "c")
 
 
 def parse_config_file(path: str) -> dict:
@@ -156,12 +160,11 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        field, parse, _ = _KEYS[key]
         try:
-            updates[_KEY_FIELDS.get(key, key)] = _KEY_PARSERS[key](value)
-        except ConfigError:
-            raise
+            updates[field] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return updates
@@ -175,16 +178,14 @@ def write_state_csv(path: Path, state) -> None:
     """One CSV per time sample, fundamental data extended periodically.
 
     The block shifted by -2*pi comes first, then the fundamental block, so
-    the X column sweeps [-2*pi, 2*pi] for direct plotting.
+    the X column sweeps [-2*pi, 2*pi] for direct plotting.  The + 0.0 of the
+    fundamental block prints a -0.0 position as 0.
     """
-    cols = (state.s, state.X, state.V, state.U, state.W)
+    rows = np.concatenate([np.column_stack((state.s + shift, state.X + shift,
+                                            state.V, state.U, state.W))
+                           for shift in (-TWO_PI, 0.0)])
     with open(path, "w", newline="\n") as fh:
-        fh.write("s,X,V,U,W\n")
-        for shift in (-TWO_PI, 0.0):
-            for i in range(len(state.s)):
-                fh.write(",".join((
-                    _fmt(state.s[i] + shift), _fmt(state.X[i] + shift),
-                    _fmt(state.V[i]), _fmt(state.U[i]), _fmt(state.W[i]))) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header="s,X,V,U,W", comments="")
 
 
 def read_state_csv(path):
@@ -290,11 +291,8 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     if config.mode == "energies":
         consts = linear.h1_constants(ic, config.n_chars)
-        lines.append(f"h1_C1={_fmt(consts.C1)}")
-        lines.append(f"h1_C2={_fmt(consts.C2)}")
-        lines.append(f"h1_C3={_fmt(consts.C3)}")
-        lines.append(f"h1_S_plus={_fmt(consts.S_plus)}")
-        lines.append(f"h1_S_minus={_fmt(consts.S_minus)}")
+        lines += [f"h1_{name}={_fmt(getattr(consts, name))}"
+                  for name in ("C1", "C2", "C3", "S_plus", "S_minus")]
         for i, report in enumerate(reports):
             pred = consts.energy(reports[i].t)
             rel = abs(report.E_v - pred) / abs(pred) if pred else 0.0
@@ -317,35 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="flat key=value scenario file")
-        p.add_argument("--ic", help="initial condition, e.g. '0.5*sin+0.25*cos3'")
-        p.add_argument("--bump", type=float, help="amplitude of the peak-corner bump")
-        p.add_argument("--t", help="comma-separated sample times")
-        p.add_argument("--dt", type=float, help="integrator step")
-        p.add_argument("--nchars", type=int, help="number of characteristics")
-        p.add_argument("--threshold", type=float, help="blow-up slope threshold")
-        p.add_argument("--out", help="output directory")
-        if mode == "classify":
-            p.add_argument("--a", type=float, help="phase-plane integration constant")
-            p.add_argument("--c", type=float, help="wave speed (> 0)")
+        for key, (_, parse, help_text) in _KEYS.items():
+            if help_text and (mode == "classify" or key not in _CLASSIFY_ONLY):
+                p.add_argument(f"--{key}", type=parse, help=help_text)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario of parsed flags: defaults, then the --config file, then flags set."""
     config = ScenarioConfig(mode=args.mode)
     if args.config:
         config = replace(config, **parse_config_file(args.config))
-        config = replace(config, mode=args.mode)
-    overrides = {}
-    for flag, fieldname in [("ic", "ic_spec"), ("bump", "bump"), ("t", "t_samples"),
-                            ("dt", "dt"), ("nchars", "n_chars"),
-                            ("threshold", "slope_threshold"), ("out", "out_dir"),
-                            ("a", "a"), ("c", "c")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            if flag == "t":
-                value = _KEY_PARSERS["t"](value)
-            overrides[fieldname] = value
-    return replace(config, **overrides)
+    flags = {field: getattr(args, key, None) for key, (field, _, _) in _KEYS.items()}
+    return replace(config, **{f: v for f, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -84,11 +84,6 @@ def phi_prime(x, side: Side = "interior"):
     return float(out[0]) if scalar else out
 
 
-def phi_eval(x, side: Side = "interior"):
-    """Return (phi(x), phi'(x)) with the requested corner convention."""
-    return phi(x), phi_prime(x, side)
-
-
 def phi_open_interval(y):
     """phi on the open parameterization (0, 2*pi): m*cosh(pi - y), no modulus."""
     return m * np.cosh(math.pi - np.asarray(y, dtype=float))

@@ -157,7 +157,6 @@ def peak_slopes_exact(t: float, ic: InitialCondition):
 
 @dataclass
 class LinearTrajectory:
-    times: np.ndarray
     states: list
 
 
@@ -210,7 +209,7 @@ def integrate_linear(ic: InitialCondition, t_end: float, dt: float = 1e-3,
                 raise IntegrationError("non-finite state in linear integration",
                                        last_valid_time=(k - 1) * dt)
         states.append(start.unstack(Z, k * dt))
-    return LinearTrajectory(times=np.array([st.t for st in states]), states=states)
+    return LinearTrajectory(states=states)
 
 
 @dataclass(frozen=True)

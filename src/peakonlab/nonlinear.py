@@ -57,46 +57,41 @@ class StateDerivative:
     dW: np.ndarray
     dU: np.ndarray
     dJ: np.ndarray
-    dv_peak: float
 
 
 @dataclass(frozen=True)
 class BlowupReport:
     """Outcome of a nonlinear run.
 
-    ``u_plus_history`` holds (time, slope-right-of-peak) rows for every
-    completed step.  When breaking is detected, max_abs_slope is at least
-    the threshold (infinite if the state left the reals inside one step).
+    When breaking is detected, max_abs_slope is at least the threshold
+    (infinite if the state left the reals inside one step).
     """
 
     status: str  # "completed" | "blew_up"
     t_stop: float
     max_abs_slope: float
-    u_plus_history: np.ndarray
 
 
 @dataclass
 class NonlinearTrajectory:
     """Saved states plus dense per-step peak diagnostics."""
 
-    times: np.ndarray
     states: list
     diag_t: np.ndarray
     diag_v_peak: np.ndarray
     diag_p0: np.ndarray
-    diag_q0: np.ndarray
     diag_u_right: np.ndarray
     diag_u_left: np.ndarray
     vbar: float
 
-    def forcing_bracket(self) -> np.ndarray:
-        """M V|peak - pi m^2 vbar + V|peak^2 - P[v](0) along the run."""
-        return (M * self.diag_v_peak - math.pi * m * m * self.vbar
-                + self.diag_v_peak ** 2 - self.diag_p0)
+
+def _peak_forcing(v_peak, p0, pmv: float):
+    """Forcing bracket M V|peak - pi m^2 vbar + V|peak^2 - P[v](0), pmv = pi m^2 vbar."""
+    return M * v_peak - pmv + v_peak ** 2 - p0
 
 
 def _rhs(s: np.ndarray, Z: np.ndarray, pmv: float):
-    """Stage derivative for stacked Z = (X, W, V, U, J); returns (dZ, (Q0, P0))."""
+    """Stage derivative for stacked Z = (X, W, V, U, J); returns (dZ, P0)."""
     X, W, V, U, J = Z
     Q, P = node_convolutions(s, X, V, U, J)
     v0 = V[0]
@@ -107,24 +102,22 @@ def _rhs(s: np.ndarray, Z: np.ndarray, pmv: float):
     dZ[2] = dZ[2] - Q
     dZ[3] = dZ[3] - 0.5 * U * U + V * V - P
     dZ[0, 0] = dZ[0, -1] = 0.0  # the peak characteristics are exact fixed points
-    return dZ, (float(Q[0]), p0)
+    return dZ, p0
 
 
 def nl_rhs(state: CharacteristicState) -> StateDerivative:
     """Time derivative of a state under the nonlinear flow.
 
     Zero perturbation reduces to the pure characteristic flow
-    (dX = phi - M, dJ = phi' J); the peak value moves with -Q[v](0).
+    (dX = phi - M, dJ = phi' J); the peak value moves with dV[0] = -Q[v](0).
     """
-    dZ, (q0, _) = _rhs(state.s, state.stack(), math.pi * m * m * state.vbar)
-    return StateDerivative(dX=dZ[0], dV=dZ[2], dW=dZ[1], dU=dZ[3], dJ=dZ[4],
-                           dv_peak=-q0)
+    dZ, _ = _rhs(state.s, state.stack(), math.pi * m * m * state.vbar)
+    return StateDerivative(dX=dZ[0], dV=dZ[2], dW=dZ[1], dU=dZ[3], dJ=dZ[4])
 
 
-def _peak_record(t, Z, q0_p0):
-    """Diagnostics row (t, V|peak, P(0), Q(0), U+, U-) of the state Z."""
-    q0, p0 = q0_p0
-    return t, Z[2, 0], p0, q0, Z[3, 0], Z[3, -1]
+def _peak_record(t, Z, p0):
+    """Diagnostics row (t, V|peak, P(0), U+, U-) of the state Z."""
+    return t, Z[2, 0], p0, Z[3, 0], Z[3, -1]
 
 
 def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
@@ -143,7 +136,7 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     n_steps, saves = save_steps(t_end, dt, save_times)
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
-    rhs = lambda t, Z: _rhs(start.s, Z, pmv)  # autonomous; side output (Q0, P0)
+    rhs = lambda t, Z: _rhs(start.s, Z, pmv)  # autonomous; side output P0
 
     Z = start.stack()
     states = [start] if saves[:1] == [0] else []
@@ -154,8 +147,8 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
         for k in range(n_steps):
             # the first stage is the derivative at the current state: reuse
             # it for the dense diagnostics instead of a separate evaluation
-            Z_new, q0_p0 = rk4_step(rhs, k * dt, Z, dt)
-            records.append(_peak_record(k * dt, Z, q0_p0))
+            Z_new, p0 = rk4_step(rhs, k * dt, Z, dt)
+            records.append(_peak_record(k * dt, Z, p0))
             if not np.all(np.isfinite(Z_new)):
                 status = "blew_up"
                 max_slope = math.inf  # unbounded within one step
@@ -171,13 +164,11 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
         if math.isfinite(max_slope):  # a non-finite stop leaves no state to record
             records.append(_peak_record(t_stop, Z, rhs(t_stop, Z)[1]))
 
-    diag_t, v_peak, p0, q0, u_right, u_left = np.array(records).T
-    report = BlowupReport(status=status, t_stop=t_stop, max_abs_slope=max_slope,
-                          u_plus_history=np.column_stack([diag_t, u_right]))
-    traj = NonlinearTrajectory(
-        times=np.array([st.t for st in states]), states=states, diag_t=diag_t,
-        diag_v_peak=v_peak, diag_p0=p0, diag_q0=q0, diag_u_right=u_right,
-        diag_u_left=u_left, vbar=ic.vbar)
+    diag_t, v_peak, p0, u_right, u_left = np.array(records).T
+    report = BlowupReport(status=status, t_stop=t_stop, max_abs_slope=max_slope)
+    traj = NonlinearTrajectory(states=states, diag_t=diag_t, diag_v_peak=v_peak,
+                               diag_p0=p0, diag_u_right=u_right, diag_u_left=u_left,
+                               vbar=ic.vbar)
     return traj, report
 
 
@@ -192,7 +183,8 @@ def measured_forcing_bound(trajectory: NonlinearTrajectory,
     solution exists.  Clamped at zero, which can only enlarge the
     supersolution and so keeps the bound valid.
     """
-    bracket = trajectory.forcing_bracket()
+    bracket = _peak_forcing(trajectory.diag_v_peak, trajectory.diag_p0,
+                            math.pi * m * m * trajectory.vbar)
     if report.status == "blew_up":
         bracket = bracket[trajectory.diag_t < report.t_stop]
     if bracket.size == 0:
@@ -220,8 +212,7 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
     sign = np.array([1.0, -1.0])
 
     def rhs(t, u):
-        v0 = v0_f(t)
-        return sign * u - 0.5 * u * u + (M * v0 - pmv + v0 ** 2 - p0_f(t)), None
+        return sign * u - 0.5 * u * u + _peak_forcing(v0_f(t), p0_f(t), pmv), None
 
     carried = np.column_stack([trajectory.diag_u_right, trajectory.diag_u_left])
     u = np.array([u_plus_0, u_minus_0], dtype=float)

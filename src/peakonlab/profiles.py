@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import TWO_PI
 from .quadrature import integrate_samples
-
-TWO_PI = 2.0 * math.pi
 
 #: circle mean of the unit bump psi
 BUMP_MEAN = math.pi / 3.0

@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .kernel import TWO_PI
 from .profiles import InitialCondition
-
-TWO_PI = 2.0 * math.pi
 
 
 def cosine_grid(n: int) -> np.ndarray:

@@ -14,18 +14,13 @@ def test_constants_hyperbolic_identity():
 
 
 def test_peak_and_trough_values():
-    val, der = kernel.phi_eval(0.0, "right")
-    assert val == pytest.approx(1.0 / math.tanh(math.pi), abs=1e-15)
-    assert der == -1.0
-    val, der = kernel.phi_eval(0.0, "left")
-    assert der == 1.0
-    val, der = kernel.phi_eval(0.0, "interior")
-    assert der == 0.0
-    val, der = kernel.phi_eval(math.pi, "interior")
-    assert val == pytest.approx(m, abs=1e-15)
-    assert der == pytest.approx(0.0, abs=1e-15)
-    val, der = kernel.phi_eval(-math.pi, "interior")
-    assert val == pytest.approx(m, abs=1e-15)
+    assert kernel.phi(0.0) == pytest.approx(1.0 / math.tanh(math.pi), abs=1e-15)
+    assert kernel.phi_prime(0.0, "right") == -1.0
+    assert kernel.phi_prime(0.0, "left") == 1.0
+    assert kernel.phi_prime(0.0, "interior") == 0.0
+    assert kernel.phi(math.pi) == pytest.approx(m, abs=1e-15)
+    assert kernel.phi_prime(math.pi, "interior") == pytest.approx(0.0, abs=1e-15)
+    assert kernel.phi(-math.pi) == pytest.approx(m, abs=1e-15)
 
 
 def test_derivative_squared_identity():
@@ -33,18 +28,18 @@ def test_derivative_squared_identity():
     rng = np.random.default_rng(7)
     x = rng.uniform(-math.pi, math.pi, 200)
     x = x[np.abs(x) > 1e-6]
-    val, der = kernel.phi_eval(x)
+    val, der = kernel.phi(x), kernel.phi_prime(x)
     assert np.max(np.abs(der ** 2 - (val ** 2 - m * m))) < 1e-14
 
 
 def test_evenness_and_periodicity():
     rng = np.random.default_rng(11)
     x = rng.uniform(-math.pi, math.pi, 100)
-    v1, d1 = kernel.phi_eval(x)
-    v2, d2 = kernel.phi_eval(-x)
+    v1, d1 = kernel.phi(x), kernel.phi_prime(x)
+    v2, d2 = kernel.phi(-x), kernel.phi_prime(-x)
     assert np.allclose(v1, v2, atol=1e-15)
     assert np.allclose(d1, -d2, atol=1e-15)
-    v3, d3 = kernel.phi_eval(x + 4 * math.pi)
+    v3, d3 = kernel.phi(x + 4 * math.pi), kernel.phi_prime(x + 4 * math.pi)
     assert np.allclose(v1, v3, atol=1e-12)
     assert np.allclose(d1, d3, atol=1e-12)
 
