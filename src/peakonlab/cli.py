@@ -12,9 +12,11 @@ classify       traveling-wave family for parameters (a, c)
 
 Configuration is a flat key=value text file plus command-line overrides
 (command line wins).  Keys mirror the flags: mode, ic, bump, t, dt, nchars,
-threshold, out, a, c.  The initial condition grammar is '+'-joined terms
-"[coef*]sin[k]", "[coef*]cos[k]", or a bare number for a constant offset,
-e.g.  ic = 0.5*sin + 0.25*cos3 + 0.1.
+threshold, out, a, c; a mode line must name the command it is given to.
+The initial condition grammar is '+'-joined terms "[coef*]sin[k]",
+"[coef*]cos[k]", or a bare number for a constant offset, e.g.
+ic = 0.5*sin + 0.25*cos3 + 0.1.  Every number must be finite (no nan, inf
+or overflowing literal), in flags, config lines and ic coefficients alike.
 
 Each trajectory mode writes one CSV per requested time with columns
 (s, X, V, U, W), the fundamental data duplicated at a -2*pi shift so plots
@@ -68,6 +70,10 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for key, (field, _, _) in _KEYS.items():
+            values = np.ravel(getattr(self, field))
+            if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, field)!r}")
         if self.mode != "classify":
             if not self.t_samples:
                 raise ConfigError("t: need at least one sample time")
@@ -125,6 +131,8 @@ def parse_ic_spec(spec: str):
             constant += float(raw)
         except ValueError:
             raise ConfigError(f"ic: cannot parse term {raw!r}") from None
+    if not all(map(math.isfinite, (constant, *cos_c, *sin_c))):
+        raise ConfigError(f"ic: coefficients must be finite in {spec!r}")
     return constant, tuple(cos_c), tuple(sin_c)
 
 
@@ -325,7 +333,11 @@ def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     """The scenario of parsed flags: defaults, then the --config file, then flags set."""
     config = ScenarioConfig(mode=args.mode)
     if args.config:
-        config = replace(config, **parse_config_file(args.config))
+        updates = parse_config_file(args.config)
+        if updates.get("mode", args.mode) != args.mode:
+            raise ConfigError(f"{args.config}: mode {updates['mode']!r} does not match "
+                              f"the command {args.mode!r}")
+        config = replace(config, **updates)
     flags = {field: getattr(args, key, None) for key, (field, _, _) in _KEYS.items()}
     return replace(config, **{f: v for f, v in flags.items() if v is not None})
 

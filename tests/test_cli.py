@@ -11,6 +11,7 @@ from peakonlab import cli
 from peakonlab.cli import (ConfigError, ScenarioConfig, main, parse_config_file,
                            parse_ic_spec, read_state_csv, run_scenario)
 from peakonlab.kernel import M
+from peakonlab.state import CharacteristicState
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +52,9 @@ def test_parse_ic_spec_errors():
         parse_ic_spec("sin0")
     with pytest.raises(ConfigError):
         parse_ic_spec("sin++cos")
+    for spec in ("1e400*sin", "inf", "-inf", "nan", "1e308*cos+1e308*cos", "1e308+1e308"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_ic_spec(spec)
 
 
 # --------------------------------------------------------------- config file
@@ -74,6 +78,21 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     cfg.write_text("dt == 0.1\n")
     with pytest.raises(ConfigError, match="bad.cfg:1"):
         parse_config_file(str(cfg))
+
+
+def test_config_file_mode_must_match_command(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = classify\nic = sin\nt = 1\nnchars = 32\n")
+    out = tmp_path / "out"
+    args = cli.build_parser().parse_args(["linear-exact", "--config", str(cfg)])
+    with pytest.raises(ConfigError, match="run.cfg"):
+        cli.config_from_args(args)
+    assert main(["linear-exact", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    # a matching mode is accepted
+    cfg.write_text("mode = linear-exact\nic = sin\nt = 1\nnchars = 32\n")
+    assert main(["linear-exact", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "mode=linear-exact" in (out / "summary.txt").read_text()
 
 
 def test_cli_overrides_config_file(tmp_path):
@@ -210,6 +229,41 @@ def test_usage_errors_exit_1_not_breaking_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["nonlinear", "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["linear-exact", "--t", "nan"],
+    ["linear-exact", "--t", "0,inf"],
+    ["linear-exact", "--ic", "nan"],
+    ["linear-exact", "--ic", "1e400*sin"],
+    ["linear-exact", "--bump", "nan"],
+    ["linear-ode", "--t", "0,1", "--dt", "inf"],
+    ["nonlinear", "--ic", "0.01*sin", "--t", "0.01", "--dt", "1e-3", "--threshold", "nan"],
+    ["classify", "--a", "nan", "--c", "1"],
+    ["classify", "--a", "0", "--c", "inf"],
+])
+def test_non_finite_numbers_exit_1(tmp_path, args):
+    out = tmp_path / "nf"
+    assert main(args + ["--nchars", "16", "--out", str(out)]) == 1
+    assert not out.exists()  # rejected before anything is written
+
+
+def test_write_state_csv_byte_format(tmp_path):
+    # -0.0 in X must print as 0 in the fundamental block (-0.0 + 0.0 = 0.0)
+    st = CharacteristicState(
+        t=0.0, s=np.array([0.0, 0.7, 1.9, 4.1, TWO_PI]),
+        X=np.array([-0.0, 0.5, 2.0, 4.0, TWO_PI]),
+        V=np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324]),
+        U=np.array([1e308, -1e308, 0.1, 2.5e-310, 1.0 / 3.0]),
+        W=np.array([0.0, 1e-17, -7.25, 123456789.12345679, np.nan]), J=np.ones(5), vbar=0.0)
+    path = tmp_path / "state.csv"
+    cli.write_state_csv(path, st)
+    expected = "s,X,V,U,W\n" + "".join(
+        ",".join(format(float(x), ".17g") for x in
+                 (st.s[i] + shift, st.X[i] + shift, st.V[i], st.U[i], st.W[i])) + "\n"
+        for shift in (-TWO_PI, 0.0) for i in range(len(st.s)))
+    assert path.read_bytes() == expected.encode()
+    assert path.read_text().splitlines()[6].startswith("0,0,-0,1e+308,")
 
 
 def test_unwritable_output_dir_reported():

@@ -9,8 +9,9 @@ import pytest
 from peakonlab import linear
 from peakonlab.energetics import energies
 from peakonlab.kernel import M, m
-from peakonlab.linear import (exact_characteristic, exact_state, exact_u, exact_v, exact_w,
-                              h1_constants, h1_forecast, integrate_linear, peak_slopes_exact)
+from peakonlab.linear import (IntegrationError, exact_characteristic, exact_state, exact_u,
+                              exact_v, exact_w, h1_constants, h1_forecast, integrate_linear,
+                              peak_slopes_exact)
 from peakonlab.profiles import InitialCondition, bump, cosine, sine
 from peakonlab.state import cosine_grid
 
@@ -187,6 +188,18 @@ def test_save_time_validation():
         integrate_linear(sine(), 1.0, dt=0.3, n_chars=32)
     with pytest.raises(ValueError, match="whole number of steps"):
         integrate_linear(sine(), 1.0, dt=0.25, n_chars=32, save_times=[0.3, 1.0])
+
+
+def test_non_finite_state_raises_integration_error():
+    # steps of 0.5 are far outside RK4's stability region for the e^t end;
+    # the state overflows near t = 708 (e^708 ~ 1.8e307)
+    dt = 0.5
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationError) as exc:
+        integrate_linear(cosine(), 800.0, dt=dt, n_chars=16)
+    t_last = exc.value.last_valid_time
+    assert 700.0 < t_last < 710.0
+    assert t_last / dt == round(t_last / dt)
 
 
 # ------------------------------------------------------------- growth laws
