@@ -43,7 +43,7 @@ import numpy as np
 from .energetics import energies
 from .kernel import M, TWO_PI, m, phi_open_interval, phi_prime_open_interval
 from .profiles import InitialCondition
-from .state import CharacteristicState, cosine_grid, initial_state, rk4_step, save_steps
+from .state import CharacteristicState, cosine_grid, initial_state, march, save_steps
 
 E_2PI = math.exp(TWO_PI)
 
@@ -194,22 +194,15 @@ def integrate_linear(ic: InitialCondition, t_end: float, dt: float = 1e-3,
     are conserved by the flow; the integrator preserves both to rounding
     because the endpoints are fixed points of the discrete stages.
     """
-    _, saves = save_steps(t_end, dt, save_times)
+    n_end, saves = save_steps(t_end, dt, save_times)
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
     rhs = lambda t, Z: (_linear_rhs(Z, pmv), None)  # autonomous, no side output
-    Z = start.stack()
-    states = []
-    k = 0
-    for target in saves:
-        while k < target:
-            Z, _ = rk4_step(rhs, k * dt, Z, dt)
-            k += 1
-            if not np.all(np.isfinite(Z)):
-                raise IntegrationError("non-finite state in linear integration",
-                                       last_valid_time=(k - 1) * dt)
-        states.append(start.unstack(Z, k * dt))
-    return LinearTrajectory(states=states)
+    saved, _, t, outcome = march(rhs, start.stack(), dt, n_end, saves)
+    if outcome == "non-finite":
+        raise IntegrationError(f"linear integration left the reals after t={t:g}",
+                               last_valid_time=t)
+    return LinearTrajectory(states=[start.unstack(Z, tk) for tk, Z in saved])
 
 
 @dataclass(frozen=True)

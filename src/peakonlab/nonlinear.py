@@ -45,7 +45,7 @@ from .convolution import node_convolutions
 from .kernel import M, TWO_PI, m, phi
 from .linear import _linear_rhs
 from .profiles import InitialCondition
-from .state import CharacteristicState, initial_state, rk4_step, save_steps
+from .state import CharacteristicState, initial_state, march, save_steps
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,6 @@ def nl_rhs(state: CharacteristicState) -> StateDerivative:
     return StateDerivative(dX=dZ[0], dV=dZ[2], dW=dZ[1], dU=dZ[3], dJ=dZ[4])
 
 
-def _peak_record(t, Z, p0):
-    """Diagnostics row (t, V|peak, P(0), U+, U-) of the state Z."""
-    return t, Z[2, 0], p0, Z[3, 0], Z[3, -1]
-
-
 def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
                         n_chars: int = 512, slope_threshold: float = 1e6,
                         save_times=None):
@@ -137,35 +132,18 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
     rhs = lambda t, Z: _rhs(start.s, Z, pmv)  # autonomous; side output P0
-
-    Z = start.stack()
-    states = [start] if saves[:1] == [0] else []
-    records = []
-    status, t_stop, max_slope = "completed", 0.0, float(np.max(np.abs(Z[3])))
-    # overflow past the threshold is the detection signal, not an anomaly
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            # the first stage is the derivative at the current state: reuse
-            # it for the dense diagnostics instead of a separate evaluation
-            Z_new, p0 = rk4_step(rhs, k * dt, Z, dt)
-            records.append(_peak_record(k * dt, Z, p0))
-            if not np.all(np.isfinite(Z_new)):
-                status = "blew_up"
-                max_slope = math.inf  # unbounded within one step
-                break
-            Z, t_stop = Z_new, (k + 1) * dt
-            slope_now = float(np.max(np.abs(Z[3])))
-            max_slope = max(max_slope, slope_now)
-            if k + 1 in saves:
-                states.append(start.unstack(Z, t_stop))
-            if slope_now >= slope_threshold:
-                status = "blew_up"
-                break
-        if math.isfinite(max_slope):  # a non-finite stop leaves no state to record
-            records.append(_peak_record(t_stop, Z, rhs(t_stop, Z)[1]))
-
-    diag_t, v_peak, p0, u_right, u_left = np.array(records).T
-    report = BlowupReport(status=status, t_stop=t_stop, max_abs_slope=max_slope)
+    max_u = lambda Z: float(np.max(np.abs(Z[3])))
+    rows = []  # (t, V|peak, P(0), U+, U-, max|U|) of every finite state reached
+    saved, _, t_stop, outcome = march(
+        rhs, start.stack(), dt, n_steps, saves,
+        stop=lambda Z: max_u(Z) >= slope_threshold,
+        record=lambda t, Z, p0: rows.append((t, Z[2, 0], p0, Z[3, 0], Z[3, -1], max_u(Z))))
+    diag_t, v_peak, p0, u_right, u_left, slopes = np.array(rows).T
+    # a non-finite step means the slope was unbounded within it
+    report = BlowupReport(
+        status="completed" if outcome == "completed" else "blew_up", t_stop=t_stop,
+        max_abs_slope=math.inf if outcome == "non-finite" else float(np.max(slopes)))
+    states = [start.unstack(Z, t) for t, Z in saved]
     traj = NonlinearTrajectory(states=states, diag_t=diag_t, diag_v_peak=v_peak,
                                diag_p0=p0, diag_u_right=u_right, diag_u_left=u_left,
                                vbar=ic.vbar)
@@ -214,12 +192,13 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
     def rhs(t, u):
         return sign * u - 0.5 * u * u + _peak_forcing(v0_f(t), p0_f(t), pmv), None
 
+    rows = []
+    _, _, _, outcome = march(rhs, np.array([u_plus_0, u_minus_0], dtype=float), t_grid[1],
+                             len(t_grid) - 1, record=lambda t, u, _: rows.append(u))
+    if outcome == "non-finite":  # the forecast escaped where the run stayed finite
+        return math.inf, math.inf
     carried = np.column_stack([trajectory.diag_u_right, trajectory.diag_u_left])
-    u = np.array([u_plus_0, u_minus_0], dtype=float)
-    res = np.abs(u - carried[0])
-    for i in range(len(t_grid) - 1):
-        u, _ = rk4_step(rhs, t_grid[i], u, t_grid[i + 1] - t_grid[i])
-        res = np.maximum(res, np.abs(u - carried[i + 1]))
+    res = np.max(np.abs(np.array(rows) - carried), axis=0)
     return float(res[0]), float(res[1])
 
 

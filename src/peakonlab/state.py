@@ -11,8 +11,9 @@ Boundary identities that every valid state satisfies: X[0] = 0,
 X[-1] = 2*pi, W[0] = 0, W[-1] = 2*pi*vbar, V[0] = V[-1] (the peak value).
 
 The linear and nonlinear integrators share the t = 0 state, the fixed-step
-timeline (:func:`save_steps`) and the RK4 step (:func:`rk4_step`) defined
-here; they advance the fields stacked as rows (X, W, V, U, J).
+timeline (:func:`save_steps`) and :func:`march`, the one RK4 stepping loop,
+which also drives the peak-slope forecast; the integrators advance the
+fields stacked as rows (X, W, V, U, J).
 """
 
 from __future__ import annotations
@@ -130,14 +131,36 @@ def save_steps(t_end: float, dt: float, save_times=None):
     return n_end, saves
 
 
-def rk4_step(rhs, t: float, Z: np.ndarray, h: float):
-    """One classical Runge-Kutta step of dZ/dt = f(t, Z).
+def march(rhs, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, record=None):
+    """Fixed-step classical RK4 for dZ/dt = f(t, Z), the one stepping loop.
 
-    ``rhs(t, Z)`` returns (f(t, Z), extra); the step returns the new Z and
-    the first stage's extra, i.e. side output taken at the current state.
+    ``rhs(t, Z)`` returns (f(t, Z), extra).  Keeps (k*dt, Z) after every step
+    count k in ``saves`` (0 included), and passes every finite state reached,
+    the last included, to ``record(t, Z, extra)`` with its first-stage extra.
+    Ends after ``n_steps`` ("completed"), after a step whose state satisfies
+    ``stop(Z)`` ("stopped"), or at a step that leaves the reals ("non-finite";
+    that state is dropped).  Returns (saved pairs, last finite Z, its t, outcome).
     """
-    k1, extra = rhs(t, Z)
-    k2, _ = rhs(t + 0.5 * h, Z + 0.5 * h * k1)
-    k3, _ = rhs(t + 0.5 * h, Z + 0.5 * h * k2)
-    k4, _ = rhs(t + h, Z + h * k3)
-    return Z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), extra
+    saved = [(0.0, Z)] if 0 in saves else []
+    t, outcome = 0.0, "completed"
+    # overflow in a step is reported through the outcome, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1, extra = rhs(t, Z)
+            if record is not None:
+                record(t, Z, extra)
+            k2, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k1)
+            k3, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k2)
+            k4, _ = rhs(t + dt, Z + dt * k3)
+            Z_next = Z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(Z_next)):
+                return saved, Z, t, "non-finite"
+            Z, t = Z_next, (k + 1) * dt
+            if k + 1 in saves:
+                saved.append((t, Z))
+            if stop is not None and stop(Z):
+                outcome = "stopped"
+                break
+        if record is not None:
+            record(t, Z, rhs(t, Z)[1])
+    return saved, Z, t, outcome

@@ -1,6 +1,7 @@
 """Characteristic-state construction and invariant validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as hst
 from peakonlab.linear import integrate_linear
 from peakonlab.nonlinear import integrate_nonlinear
 from peakonlab.profiles import InitialCondition, bump, cosine, sine
-from peakonlab.state import CharacteristicState, cosine_grid, initial_state
+from peakonlab.state import CharacteristicState, cosine_grid, initial_state, march
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +61,56 @@ def test_validate_rejects_broken_states():
 def test_grid_size_guard():
     with pytest.raises(ValueError):
         cosine_grid(1)
+
+
+def test_march_matches_rk4_growth_factor():
+    # for dZ/dt = Z one RK4 step multiplies by the degree-4 Taylor polynomial of e^h
+    h, k = 0.1, 12
+    saved, Z, t, outcome = march(lambda t, Z: (Z, None), np.array([1.0]), h, k)
+    assert outcome == "completed" and t == k * h and saved == []
+    assert Z[0] == pytest.approx((1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24) ** k,
+                                 rel=1e-14, abs=0)
+
+
+def test_march_saves_and_records():
+    dt, k = 0.1, 7
+    seen = []
+    saved, Z, t, _ = march(lambda t, Z: (Z, t), np.array([1.0]), dt, k, saves={0, k},
+                           record=lambda t, Z, extra: seen.append((t, extra, Z[0])))
+    assert [ts for ts, _ in saved] == [0.0, k * dt]
+    assert saved[0][1][0] == 1.0 and saved[1][1] is Z
+    assert len(seen) == k + 1
+    assert [ts for ts, _, _ in seen] == [i * dt for i in range(k + 1)]
+    assert all(extra == ts for ts, extra, _ in seen)  # first-stage side output
+    assert seen[-1][2] == Z[0]
+
+
+def test_march_stops_after_first_crossing_step():
+    dt = 0.1
+    _, Z, t, outcome = march(lambda t, Z: (np.ones_like(Z), None), np.array([0.0]), dt, 20,
+                             stop=lambda Z: Z[0] >= 0.35)
+    assert outcome == "stopped"
+    assert t == 4 * dt and Z[0] == pytest.approx(0.4)
+
+
+def test_march_reports_non_finite_step_without_warning():
+    dt = 0.1
+    calls, seen = [], []
+
+    def rhs(t, Z):
+        calls.append(t)
+        # during step 3 the derivative overflows: inf, and 1e308 doubled by RK4
+        return (np.array([np.inf, 1e308]) if t > 2.2 * dt else -Z), None
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, Z, t, outcome = march(rhs, np.array([1.0, 1.0]), dt, 10,
+                                 record=lambda t, Z, _: seen.append(t))
+    assert outcome == "non-finite"
+    assert t == 2 * dt
+    assert np.all(np.isfinite(Z)) and Z[0] == pytest.approx(math.exp(-2 * dt), rel=1e-6)
+    assert seen == [0.0, dt, 2 * dt]
+    assert len(calls) == 12  # three steps of four stages, no extra evaluation
 
 
 _AMPLITUDE = hst.floats(-0.5, 0.5)
