@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return run_scenario(config)
-    except (ConfigError, waves.ClassificationError, ValueError) as exc:
+    except (ConfigError, waves.ClassificationError, linear.IntegrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,9 +44,6 @@ M = math.cosh(math.pi) / math.sinh(math.pi)
 #: trough height of the kernel, csch(pi)
 m = 1.0 / math.sinh(math.pi)
 
-Side = Literal["left", "right", "interior"]
-
-
 def reduce_angle(x):
     """Reduce to the fundamental interval [-pi, pi].
 
@@ -65,23 +62,11 @@ def phi(x):
     return out if isinstance(r, np.ndarray) else float(out)
 
 
-def phi_prime(x, side: Side = "interior"):
-    """Piecewise derivative of the kernel.
-
-    ``side`` selects the one-sided limit when x is congruent to 0: 'right'
-    gives -1, 'left' gives +1, 'interior' the jump midpoint 0.  Off the
-    corner the three choices agree.
-    """
+def phi_prime(x):
+    """Kernel derivative; valid for any argument, the jump midpoint 0 at the corner."""
     r = reduce_angle(x)
-    scalar = not isinstance(r, np.ndarray) or r.ndim == 0
-    r = np.atleast_1d(r)
     out = -np.sign(r) * m * np.sinh(math.pi - np.abs(r))
-    at_peak = (r == 0.0)
-    if side == "right":
-        out = np.where(at_peak, -1.0, out)
-    elif side == "left":
-        out = np.where(at_peak, 1.0, out)
-    return float(out[0]) if scalar else out
+    return out if isinstance(r, np.ndarray) else float(out)
 
 
 def phi_open_interval(y):

@@ -219,6 +219,16 @@ def test_error_exit_code_on_partial_step(tmp_path):
         assert not (tmp_path / mode).exists()  # rejected before anything is written
 
 
+def test_non_finite_linear_run_reported_as_error(tmp_path, capsys):
+    # steps of 0.5 overflow the e^t end near t = 708; that is an error, not a crash
+    code = main(["linear-ode", "--ic", "cos", "--t", "800", "--dt", "0.5",
+                 "--nchars", "16", "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "t=708" in err
+
+
 def test_usage_errors_exit_1_not_breaking_code(tmp_path):
     # exit code 2 is reserved for detected wave breaking
     out = str(tmp_path / "u")

@@ -15,11 +15,9 @@ def test_constants_hyperbolic_identity():
 
 def test_peak_and_trough_values():
     assert kernel.phi(0.0) == pytest.approx(1.0 / math.tanh(math.pi), abs=1e-15)
-    assert kernel.phi_prime(0.0, "right") == -1.0
-    assert kernel.phi_prime(0.0, "left") == 1.0
-    assert kernel.phi_prime(0.0, "interior") == 0.0
+    assert kernel.phi_prime(0.0) == 0.0
     assert kernel.phi(math.pi) == pytest.approx(m, abs=1e-15)
-    assert kernel.phi_prime(math.pi, "interior") == pytest.approx(0.0, abs=1e-15)
+    assert kernel.phi_prime(math.pi) == pytest.approx(0.0, abs=1e-15)
     assert kernel.phi(-math.pi) == pytest.approx(m, abs=1e-15)
 
 
