@@ -54,11 +54,12 @@ class InitialCondition:
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
+        theta = np.where(s == TWO_PI, 0.0, s)  # exact trig at the 2*pi end
         out = np.full_like(s, self.constant, dtype=float)
         for k, a in enumerate(self.cosine_coeffs, start=1):
-            out += a * np.cos(k * s)
+            out += a * np.cos(k * theta)
         for k, b in enumerate(self.sine_coeffs, start=1):
-            out += b * np.sin(k * s)
+            out += b * np.sin(k * theta)
         if self.bump_amplitude:
             out += self.bump_amplitude * s * (TWO_PI - s) / TWO_PI
         return out if out.ndim else float(out)
@@ -66,22 +67,24 @@ class InitialCondition:
     def slope(self, s):
         """Derivative on the (0, 2*pi) branch; one-sided at the ends."""
         s = np.asarray(s, dtype=float)
+        theta = np.where(s == TWO_PI, 0.0, s)  # exact trig at the 2*pi end
         out = np.zeros_like(s, dtype=float)
         for k, a in enumerate(self.cosine_coeffs, start=1):
-            out += -k * a * np.sin(k * s)
+            out += -k * a * np.sin(k * theta)
         for k, b in enumerate(self.sine_coeffs, start=1):
-            out += k * b * np.cos(k * s)
+            out += k * b * np.cos(k * theta)
         if self.bump_amplitude:
             out += self.bump_amplitude * (1.0 - s / math.pi)
         return out if out.ndim else float(out)
 
     def second_derivative(self, s):
         s = np.asarray(s, dtype=float)
+        theta = np.where(s == TWO_PI, 0.0, s)  # exact trig at the 2*pi end
         out = np.zeros_like(s, dtype=float)
         for k, a in enumerate(self.cosine_coeffs, start=1):
-            out += -k * k * a * np.cos(k * s)
+            out += -k * k * a * np.cos(k * theta)
         for k, b in enumerate(self.sine_coeffs, start=1):
-            out += -k * k * b * np.sin(k * s)
+            out += -k * k * b * np.sin(k * theta)
         if self.bump_amplitude:
             out += -self.bump_amplitude / math.pi
         return out if out.ndim else float(out)

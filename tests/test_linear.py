@@ -97,6 +97,14 @@ def test_exact_u_matches_peak_slope_laws():
             assert exact_u(t, TWO_PI, ic) == pytest.approx(left, rel=1e-9)
 
 
+def test_exact_u_left_slope_decays_without_endpoint_rounding():
+    # the left slope decays like e^{-t}; at t = 40 it is ~4e-18, so any
+    # O(eps) remainder of sin(2*pi k) in the initial data would swamp it
+    for ic in (sine(), sine(0.3, 3)):
+        left = peak_slopes_exact(40.0, ic)[1]
+        assert exact_u(40.0, TWO_PI, ic) == pytest.approx(left, rel=1e-12, abs=0)
+
+
 def test_peak_slope_law_examples():
     # sine start: pure exponentials on the two sides
     for t in (1.0, 2.0, 3.0):
