@@ -177,9 +177,10 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
     The two one-sided slopes obey
     dU+-/dt = +-U+- + M V|peak - pi m^2 vbar - (U+-)^2/2 + (V|peak)^2 - P[v](0)
     with V|peak(t) and P[v](0)(t) taken from the trajectory diagnostics
-    (monotone-cubic interpolation between steps).  Returns the maximal
-    deviations (right, left) from the slopes the full run actually carried
-    on its peak-side characteristics.
+    (monotone-cubic interpolation between steps), stepping the run's own
+    dt = diag_t[1].  Returns the maximal deviations (right, left) from the
+    slopes the full run actually carried on its peak-side characteristics;
+    both are infinite when the forecast leaves the reals.
     """
     t_grid = trajectory.diag_t
     if len(t_grid) < 2:
@@ -195,7 +196,7 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
     rows = []
     _, _, _, outcome = march(rhs, np.array([u_plus_0, u_minus_0], dtype=float), t_grid[1],
                              len(t_grid) - 1, record=lambda t, u, _: rows.append(u))
-    if outcome == "non-finite":  # the forecast escaped where the run stayed finite
+    if outcome == "non-finite":
         return math.inf, math.inf
     carried = np.column_stack([trajectory.diag_u_right, trajectory.diag_u_left])
     res = np.max(np.abs(np.array(rows) - carried), axis=0)

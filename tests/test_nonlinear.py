@@ -162,6 +162,8 @@ def test_peak_slope_forecast_zero_state():
                                   save_times=[0.5])
     res_r, res_l = peak_slope_forecast(0.0, 0.0, traj)
     assert res_r == 0.0 and res_l == 0.0
+    # dU/dt = U - U^2/2 escapes from U(0) = -1e3 within t ~ 2e-3
+    assert peak_slope_forecast(-1e3, 0.0, traj) == (math.inf, math.inf)
 
 
 def test_peak_slope_forecast_small_sine():
