@@ -5,7 +5,7 @@ from .energetics import E_PHI, F_PHI, EnergyReport, check_conserved, energies
 from .kernel import M, m, phi, phi_prime, stationary_residual
 from .linear import (H1ForecastConstants, IntegrationError, LinearTrajectory,
                      exact_characteristic, exact_state, exact_u, exact_v, exact_w, h1_constants,
-                     h1_forecast, integrate_linear, peak_slopes_exact)
+                     integrate_linear, peak_slopes_exact)
 from .nonlinear import (BlowupReport, NonlinearTrajectory, integrate_nonlinear, measured_forcing_bound, nl_rhs,
                         peak_slope_forecast, reconstruct_u, riccati_bound, riccati_supersolution)
 from .profiles import InitialCondition, bump, cosine, sine, steepest_budget_bump
@@ -19,7 +19,7 @@ __all__ = [
     "CharacteristicState", "cosine_grid", "initial_state",
     "LinearTrajectory", "IntegrationError", "exact_characteristic", "exact_w", "exact_v",
     "exact_u", "exact_state", "peak_slopes_exact", "integrate_linear",
-    "H1ForecastConstants", "h1_constants", "h1_forecast",
+    "H1ForecastConstants", "h1_constants",
     "EnergyReport", "energies", "check_conserved", "E_PHI", "F_PHI",
     "BlowupReport", "NonlinearTrajectory", "nl_rhs", "integrate_nonlinear",
     "peak_slope_forecast", "riccati_bound", "riccati_supersolution", "reconstruct_u", "measured_forcing_bound",

@@ -40,7 +40,6 @@ import numpy as np
 from . import energetics, linear, nonlinear, waves
 from .kernel import M, TWO_PI
 from .profiles import InitialCondition
-from .state import save_steps
 
 MODES = ("linear-exact", "linear-ode", "nonlinear", "energies", "classify")
 
@@ -88,11 +87,6 @@ class ScenarioConfig:
             if self.slope_threshold <= 0:
                 raise ConfigError("threshold must be positive")
             parse_ic_spec(self.ic_spec)
-            if self.mode != "linear-exact":
-                try:
-                    save_steps(self.t_samples[-1], self.dt, self.t_samples)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
         else:
             if self.c <= 0:
                 raise ConfigError("c must be positive")
@@ -234,15 +228,22 @@ def _drift_lines(reports) -> list:
     return lines
 
 
-def run_scenario(config: ScenarioConfig) -> int:
-    """Execute one scenario; returns the process exit code (0, or 2 on breaking)."""
-    config.validate()
-    out = Path(config.out_dir)
+def _output_dir(path: str) -> Path:
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    return out
 
+
+def run_scenario(config: ScenarioConfig) -> int:
+    """Execute one scenario; returns the process exit code (0, or 2 on breaking).
+
+    The output directory is created only once the run has produced its
+    result, so a rejected or failed run leaves nothing behind.
+    """
+    config.validate()
     lines = [f"mode={config.mode}"]
 
     if config.mode == "classify":
@@ -250,6 +251,7 @@ def run_scenario(config: ScenarioConfig) -> int:
         pts = ";".join(_fmt(p) for p in fam.critical_points)
         lines += [f"a={_fmt(fam.a)}", f"c={_fmt(fam.c)}",
                   f"family={fam.family}", f"critical_points={pts}"]
+        out = _output_dir(config.out_dir)
         (out / "summary.txt").write_text("\n".join(lines) + "\n")
         print(f"a={_fmt(config.a)} c={_fmt(config.c)} -> {fam.family}")
         return 0
@@ -286,6 +288,7 @@ def run_scenario(config: ScenarioConfig) -> int:
             lines.append(f"blowup_riccati_bound={_fmt(bound) if math.isfinite(bound) else 'inf'}")
             exit_code = 2
 
+    out = _output_dir(config.out_dir)
     reports = []
     for i, state in enumerate(states):
         csv_name = f"state_{i:02d}.csv"

@@ -8,10 +8,11 @@ half-convolutions of the perturbation density
     P[v](x) = (1/2) int_T phi(x - y)  q[v](y) dy.
 
 Q has zero circle mean (so the perturbation mean is conserved) and is the
-x-derivative of P.  Densities arrive as samples on position nodes covering
-[0, 2*pi]; when the nodes are images of characteristics the sample carries
-the jacobian dX/ds and the quadrature runs in the characteristic parameter
-with weight J, which keeps steepening fronts resolved where X compresses.
+x-derivative of P.  The O(n^2) oracle :func:`conv_q`/:func:`conv_p` takes
+samples on position nodes covering [0, 2*pi] and integrates in position.
+The integrator's O(n) path :func:`node_convolutions` works in the
+characteristic parameter with weight J = dX/ds, which keeps steepening
+fronts resolved where X compresses.
 
 Quadrature is the derivative-corrected trapezoid of :mod:`.quadrature`;
 the panel containing the kernel corner is split there with one-sided kernel
@@ -36,17 +37,15 @@ from .quadrature import cumulative_integral, fd_derivative
 
 @dataclass(frozen=True)
 class DensitySample:
-    """Perturbation samples on increasing position nodes spanning [0, 2*pi].
+    """Perturbation samples on at least 3 increasing position nodes spanning [0, 2*pi].
 
-    ``jacobian`` is present when the nodes are images of characteristics; it
-    must be strictly positive.  The first and last node coincide on the
-    circle, which is how one-sided slope data at the peak is carried.
+    The first and last node coincide on the circle, which is how one-sided
+    slope data at the peak is carried.
     """
 
     nodes: np.ndarray
     v: np.ndarray
     vx: np.ndarray
-    jacobian: np.ndarray | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -57,47 +56,17 @@ class DensitySample:
         object.__setattr__(self, "vx", vx)
         if not (nodes.shape == v.shape == vx.shape) or nodes.ndim != 1:
             raise ValueError("nodes, v, vx must be 1-d arrays of one length")
-        if len(nodes) < 2:
-            raise ValueError("need at least 2 nodes")
+        if len(nodes) < 3:
+            raise ValueError("need at least 3 nodes")
         if abs(nodes[0]) > 1e-12 or abs(nodes[-1] - TWO_PI) > 1e-9:
             raise ValueError("nodes must span [0, 2*pi]")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if self.jacobian is not None:
-            jac = np.asarray(self.jacobian, dtype=float)
-            object.__setattr__(self, "jacobian", jac)
-            if jac.shape != nodes.shape:
-                raise ValueError("jacobian length mismatch")
-            if np.any(jac <= 0):
-                raise ValueError("jacobian must be strictly positive")
 
 
 def q_density(sample: DensitySample) -> np.ndarray:
     """Pointwise density v^2 + v_x^2/2; nonnegative by construction."""
     return sample.v ** 2 + 0.5 * sample.vx ** 2
-
-
-def _integration_frame(sample: DensitySample):
-    """Integration variable, weighted density, its derivative, and dX/dtau.
-
-    Without a jacobian the integration variable is position itself.  With a
-    jacobian the parameter grid is induced from the positions through
-    dtau = dX * (1/J)_panel-mean, and the integrand picks up the weight J.
-    """
-    y = sample.nodes
-    q = q_density(sample)
-    if sample.jacobian is None:
-        tau = y
-        w = q
-        dpos = np.ones_like(y)
-    else:
-        J = sample.jacobian
-        dtau = np.diff(y) * 0.5 * (1.0 / J[:-1] + 1.0 / J[1:])
-        tau = np.concatenate(([0.0], np.cumsum(dtau)))
-        w = q * J
-        dpos = J
-    wp = fd_derivative(tau, w) if len(tau) >= 3 else np.zeros_like(w)
-    return y, tau, w, wp, dpos
 
 
 def _half_convolution(which: str, sample: DensitySample, targets) -> np.ndarray:
@@ -106,7 +75,8 @@ def _half_convolution(which: str, sample: DensitySample, targets) -> np.ndarray:
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if targets.size == 0:
         raise ValueError("targets must be nonempty")
-    frame = _integration_frame(sample)
+    q = q_density(sample)
+    frame = (sample.nodes, q, fd_derivative(sample.nodes, q))
     return np.array([0.5 * kernel.convolve_samples(which, frame, x) for x in targets])
 
 
@@ -128,9 +98,9 @@ def node_convolutions(s: np.ndarray, X: np.ndarray, V: np.ndarray,
     turns both convolutions into two running Hermite integrals
     (:func:`.quadrature.cumulative_integral`) of cosh(X) g and sinh(X) g with
     g = q J in the characteristic parameter s, each read from below and from
-    above every node.  The result is algebraically the panel-split rule of
-    :func:`conv_q`/:func:`conv_p` with the true parameter spacings, at O(n)
-    instead of O(n^2).  Used by the nonlinear integrator each stage.
+    above every node.  On a position grid (X = s, J = 1) the result is
+    algebraically the panel-split rule of :func:`conv_q`/:func:`conv_p`, at
+    O(n) instead of O(n^2).  Used by the nonlinear integrator each stage.
     """
     g = (V * V + 0.5 * U * U) * J
     gp = fd_derivative(s, g)

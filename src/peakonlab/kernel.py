@@ -31,7 +31,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .quadrature import ordered_sum, panel_integrals
+from .quadrature import cumulative_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,51 +100,42 @@ def _kernel_arrays(which: str, d: np.ndarray):
 
 
 def convolve_samples(which: Literal["phi", "phi_prime"], frame, x: float) -> float:
-    """Corner-split quadrature of int K(x - y(tau)) w(tau) dtau on samples.
+    """Corner-split quadrature of int_0^{2pi} K(x - y) w(y) dy on samples.
 
-    ``frame`` is (y, tau, w, wp, dpos): increasing positions y spanning
-    [0, 2*pi], the integration variable tau at those nodes, the density w
-    and its tau-derivative wp, and dy/dtau (ones when tau = y).  The panel
-    holding the kernel corner y = x (mod 2*pi) is split there with one-sided
-    kernel data.  Density data at the split is the node's own when the corner
-    sits on a node, else the quadratic through the three nearest nodes, so
-    the rule keeps its fourth order.
+    ``frame`` is (y, w, wp): increasing positions y spanning [0, 2*pi], the
+    density w and its derivative wp.  The panel holding the kernel corner
+    y = x (mod 2*pi) is split there with one-sided kernel data.  Density data
+    at the split is the node's own when the corner sits on a node, else the
+    quadratic through the three nearest nodes, so the rule keeps its fourth
+    order.  Each side is one :func:`.quadrature.cumulative_integral`.
     """
-    y, tau, w, wp, dpos = frame
+    y, w, wp = frame
     n_last = len(y) - 1
     xr = float(np.mod(x, TWO_PI))
-    d = xr - y
-    K, Kd, K_jump, Kd_jump = _kernel_arrays(which, d)
+    K, Kd, K_jump, Kd_jump = _kernel_arrays(which, xr - y)
     F = K * w
-    Fp = -Kd * dpos * w + K * wp  # derivative in tau
-
-    def piece(ts, fs, fps):
-        dt = np.diff(ts)
-        keep = dt > 0
-        return ordered_sum(panel_integrals(dt[keep], fs[:-1][keep], fs[1:][keep],
-                                           fps[:-1][keep], fps[1:][keep]))
+    Fp = -Kd * w + K * wp
 
     # nodes [:lo] lie below the corner and nodes [hi:] above it; x = 0 is the
     # corner on node 0, whose lower piece is empty
-    rows = (tau, w, wp, dpos)
     idx = int(np.searchsorted(y, xr))
     j = next((j for j in (idx - 1, idx, idx + 1)
               if 0 <= j <= n_last and abs(y[j] - xr) < _JUMP_SNAP), None)
     if j is not None:
-        lo, hi = j, j + 1
-        tau_x, w_x, wp_x, dpos_x = (row[j] for row in rows)
+        lo, hi, y_x, w_x, wp_x = j, j + 1, y[j], w[j], wp[j]
     else:
         lo = hi = idx
         first = min(max(idx - 2, 0), n_last - 2)
         sl = slice(first, first + 3)
-        tau_x, w_x, wp_x, dpos_x = (_quadratic_at(y[sl], row[sl], xr) for row in rows)
-    (F_lo, Fp_lo), (F_hi, Fp_hi) = ((Kj * w_x, -Kdj * dpos_x * w_x + Kj * wp_x)
+        y_x = xr
+        w_x, wp_x = (_quadratic_at(y[sl], row[sl], xr) for row in (w, wp))
+    (F_lo, Fp_lo), (F_hi, Fp_hi) = ((Kj * w_x, -Kdj * w_x + Kj * wp_x)
                                     for Kj, Kdj in zip(K_jump, Kd_jump))
-    lower = piece(*(np.concatenate((row[:lo], [x]))
-                    for row, x in zip((tau, F, Fp), (tau_x, F_lo, Fp_lo))))
-    upper = piece(*(np.concatenate(([x], row[hi:]))
-                    for row, x in zip((tau, F, Fp), (tau_x, F_hi, Fp_hi))))
-    return lower + upper
+    lower = cumulative_integral(*(np.append(row[:lo], v)
+                                  for row, v in zip((y, F, Fp), (y_x, F_lo, Fp_lo))))
+    upper = cumulative_integral(*(np.insert(row[hi:], 0, v)
+                                  for row, v in zip((y, F, Fp), (y_x, F_hi, Fp_hi))))
+    return float(lower[-1] + upper[-1])
 
 
 def circle_convolution(kernel: Literal["phi", "phi_prime"],
@@ -162,8 +153,7 @@ def circle_convolution(kernel: Literal["phi", "phi_prime"],
     if nodes < 8:
         raise ValueError("nodes must be >= 8")
     y = np.linspace(0.0, TWO_PI, nodes + 1)
-    frame = (y, y, np.asarray(density(y), dtype=float),
-             np.asarray(density_prime(y), dtype=float), np.ones_like(y))
+    frame = (y, np.asarray(density(y), dtype=float), np.asarray(density_prime(y), dtype=float))
     return convolve_samples(kernel, frame, x)
 
 

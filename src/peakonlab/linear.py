@@ -27,7 +27,7 @@ The slopes at the two sides of the peak grow and decay exponentially:
     left:   e^-t v0'(0-) + (M v0(0) - pi m^2 vbar)(1 - e^-t),
 
 while the squared H^1 norm follows C_+ e^t + C_0 + C_- e^-t, with constants
-fixed by the initial energies through the P/S system (see h1_forecast).
+fixed by the initial energies through the P/S system (see h1_constants).
 
 A fixed-step RK4 integrator for the same characteristic system provides the
 independent cross-check of the closed forms.
@@ -246,8 +246,3 @@ def h1_constants(ic: InitialCondition, n_chars: int = 2048) -> H1ForecastConstan
     S_minus = 0.5 * (S0 + P0 / M - C3)
     return H1ForecastConstants(E0=E0, P0=P0, S0=S0, C1=C1, C2=C2, C3=C3,
                                S_plus=S_plus, S_minus=S_minus)
-
-
-def h1_forecast(ic: InitialCondition, t: float, n_chars: int = 2048) -> float:
-    """Predicted squared H^1 norm of the perturbation at time t."""
-    return h1_constants(ic, n_chars).energy(t)

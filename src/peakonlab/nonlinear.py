@@ -178,15 +178,19 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
     dU+-/dt = +-U+- + M V|peak - pi m^2 vbar - (U+-)^2/2 + (V|peak)^2 - P[v](0)
     with V|peak(t) and P[v](0)(t) taken from the trajectory diagnostics
     (monotone-cubic interpolation between steps), stepping the run's own
-    dt = diag_t[1].  Returns the maximal deviations (right, left) from the
-    slopes the full run actually carried on its peak-side characteristics;
-    both are infinite when the forecast leaves the reals.
+    dt = diag_t[1].  Only the leading rows whose V|peak and P(0) are finite
+    drive and are compared (a breaking run's stop state can overflow P).
+    Returns the maximal deviations (right, left) from the slopes the full
+    run actually carried on its peak-side characteristics; both are infinite
+    when the forecast leaves the reals.
     """
-    t_grid = trajectory.diag_t
-    if len(t_grid) < 2:
+    finite = np.isfinite(trajectory.diag_v_peak) & np.isfinite(trajectory.diag_p0)
+    n = int(np.logical_and.accumulate(finite).sum())
+    if n < 2:
         raise ValueError("trajectory too short for a forecast")
-    v0_f = PchipInterpolator(t_grid, trajectory.diag_v_peak)
-    p0_f = PchipInterpolator(t_grid, trajectory.diag_p0)
+    t_grid = trajectory.diag_t[:n]
+    v0_f = PchipInterpolator(t_grid, trajectory.diag_v_peak[:n])
+    p0_f = PchipInterpolator(t_grid, trajectory.diag_p0[:n])
     pmv = math.pi * m * m * trajectory.vbar
     sign = np.array([1.0, -1.0])
 
@@ -195,10 +199,10 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
 
     rows = []
     _, _, _, outcome = march(rhs, np.array([u_plus_0, u_minus_0], dtype=float), t_grid[1],
-                             len(t_grid) - 1, record=lambda t, u, _: rows.append(u))
+                             n - 1, record=lambda t, u, _: rows.append(u))
     if outcome == "non-finite":
         return math.inf, math.inf
-    carried = np.column_stack([trajectory.diag_u_right, trajectory.diag_u_left])
+    carried = np.column_stack([trajectory.diag_u_right[:n], trajectory.diag_u_left[:n]])
     res = np.max(np.abs(np.array(rows) - carried), axis=0)
     return float(res[0]), float(res[1])
 

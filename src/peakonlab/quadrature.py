@@ -56,13 +56,6 @@ def panel_integrals(dx: np.ndarray, fa: np.ndarray, fb: np.ndarray,
     return base + dx * dx / 12.0 * (dfa - dfb)
 
 
-def ordered_sum(terms: np.ndarray) -> float:
-    """Left-to-right accumulation (deterministic across runs and platforms)."""
-    if terms.size == 0:
-        return 0.0
-    return float(np.cumsum(terms)[-1])
-
-
 def integrate_samples(x: np.ndarray, f: np.ndarray,
                       derivative: np.ndarray | None = None) -> float:
     """Integrate samples f over the increasing nodes x by Hermite panels.
@@ -86,8 +79,8 @@ def cumulative_integral(x: np.ndarray, f: np.ndarray,
                         derivative: np.ndarray | None = None) -> np.ndarray:
     """Running integral from x[0] to every node, Hermite panels throughout.
 
-    The one panel sum: :func:`integrate_samples` and the O(n) convolutions
-    read their integrals off it.
+    The one panel sum: :func:`integrate_samples`, the corner-split
+    convolution rule and the O(n) convolutions read their integrals off it.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)

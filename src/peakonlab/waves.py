@@ -68,9 +68,9 @@ class PeakedProfile:
         return (self.m_phi / m) * phi_prime(x)
 
 
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -84,8 +84,8 @@ def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(f, lo: float, hi: float, samples: int = 4096):
-    xs = np.linspace(lo, hi, samples)
+def _scan_roots(f, lo: float, hi: float):
+    xs = np.linspace(lo, hi, 4096)
     vals = np.array([f(x) for x in xs])
     roots = []
     for i in range(len(xs) - 1):

@@ -227,6 +227,7 @@ def test_non_finite_linear_run_reported_as_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert "t=708" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_usage_errors_exit_1_not_breaking_code(tmp_path):

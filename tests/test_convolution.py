@@ -1,4 +1,4 @@
-"""Nonlocal operators: oracles, frame consistency, and the reduction identity."""
+"""Nonlocal operators: the O(n^2) oracle, the O(n) path, and the reduction identity."""
 
 import math
 
@@ -17,10 +17,9 @@ from peakonlab.state import cosine_grid
 TWO_PI = 2.0 * math.pi
 
 
-def uniform_sample(n, v_fn, vx_fn, jac_fn=None):
+def uniform_sample(n, v_fn, vx_fn):
     s = np.linspace(0.0, TWO_PI, n + 1)
-    jac = None if jac_fn is None else jac_fn(s)
-    return DensitySample(nodes=s, v=v_fn(s), vx=vx_fn(s), jacobian=jac)
+    return DensitySample(nodes=s, v=v_fn(s), vx=vx_fn(s))
 
 
 def random_trig_profile(rng, degree=5, scale=1.0):
@@ -54,7 +53,7 @@ def test_sample_validation():
     with pytest.raises(ValueError):
         DensitySample(nodes=s + 0.1, v=np.zeros(17), vx=np.zeros(17))
     with pytest.raises(ValueError):
-        DensitySample(nodes=s, v=np.zeros(17), vx=np.zeros(17), jacobian=np.zeros(17))
+        DensitySample(nodes=[0.0, TWO_PI], v=np.zeros(2), vx=np.zeros(2))
     with pytest.raises(ValueError):
         conv_q(DensitySample(nodes=s, v=np.zeros(17), vx=np.zeros(17)), [])
 
@@ -127,33 +126,12 @@ def test_conv_lipschitz_modulus():
     assert np.max(np.abs(np.diff(p))) < bound
 
 
-def test_jacobian_frame_matches_plain_frame():
-    # same physical density sampled on a warped characteristic grid
-    sig = np.linspace(0.0, TWO_PI, 1025)
-    X = sig - 0.3 * np.sin(sig)          # increasing map with X(0)=0, X(2pi)=2pi
-    J = 1.0 - 0.3 * np.cos(sig)
-    warped = DensitySample(nodes=X, v=np.sin(X), vx=np.cos(X), jacobian=J)
-    plain = uniform_sample(2048, np.sin, np.cos)
-    targets = np.array([0.5, 1.9, 3.3, 5.7])
-    assert np.max(np.abs(conv_q(warped, targets) - conv_q(plain, targets))) < 2e-5
-    assert np.max(np.abs(conv_p(warped, targets) - conv_p(plain, targets))) < 2e-5
-
-
-def test_unit_jacobian_equals_no_jacobian():
-    s = np.linspace(0.0, TWO_PI, 513)
-    a = DensitySample(nodes=s, v=np.sin(s), vx=np.cos(s))
-    b = DensitySample(nodes=s, v=np.sin(s), vx=np.cos(s), jacobian=np.ones_like(s))
-    t = np.array([0.0, 1.1, 4.4])
-    assert np.allclose(conv_q(a, t), conv_q(b, t), atol=1e-14)
-    assert np.allclose(conv_p(a, t), conv_p(b, t), atol=1e-14)
-
-
 def test_node_convolutions_match_general_path():
     s = np.linspace(0.0, TWO_PI, 513)
     V, U = np.sin(s), np.cos(s)
     J = np.ones_like(s)
     Qf, Pf = node_convolutions(s, s, V, U, J)
-    sample = DensitySample(nodes=s, v=V, vx=U, jacobian=None)
+    sample = DensitySample(nodes=s, v=V, vx=U)
     Qg = conv_q(sample, s)
     Pg = conv_p(sample, s)
     # same rule algebraically; the O(n) path regroups sums through

@@ -10,7 +10,7 @@ from peakonlab import linear
 from peakonlab.energetics import energies
 from peakonlab.kernel import M, m
 from peakonlab.linear import (IntegrationError, exact_characteristic, exact_state, exact_u,
-                              exact_v, exact_w, h1_constants, h1_forecast, integrate_linear,
+                              exact_v, exact_w, h1_constants, integrate_linear,
                               peak_slopes_exact)
 from peakonlab.profiles import InitialCondition, bump, cosine, sine
 from peakonlab.state import cosine_grid

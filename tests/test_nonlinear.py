@@ -1,5 +1,6 @@
 """Nonlinear characteristic dynamics: reduction limits, conservation, breaking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from peakonlab.energetics import check_conserved, energies
 from peakonlab.kernel import M, m, phi, phi_prime_open_interval
 from peakonlab.nonlinear import (integrate_nonlinear, nl_rhs, peak_slope_forecast,
                                  reconstruct_u, riccati_bound, riccati_supersolution)
-from peakonlab.profiles import InitialCondition, sine, steepest_budget_bump
+from peakonlab.profiles import InitialCondition, bump, sine, steepest_budget_bump
 from peakonlab.quadrature import integrate_samples
 from peakonlab.state import initial_state
 
@@ -172,6 +173,18 @@ def test_peak_slope_forecast_small_sine():
     res_r, res_l = peak_slope_forecast(ic.v0_slope_right, ic.v0_slope_left, traj)
     assert res_r < 5e-3
     assert res_l < 5e-3
+
+
+def test_peak_slope_forecast_ignores_non_finite_stop_row():
+    # the stop state of this breaking run overflows the convolution: P(0) is nan
+    ic = bump(-0.5)
+    traj, report = integrate_nonlinear(ic, 6.0, dt=1e-2, n_chars=32)
+    assert report.status == "blew_up" and np.isnan(traj.diag_p0[-1])
+    trimmed = dataclasses.replace(traj, **{name: getattr(traj, name)[:-1] for name in (
+        "diag_t", "diag_v_peak", "diag_p0", "diag_u_right", "diag_u_left")})
+    full = peak_slope_forecast(ic.v0_slope_right, ic.v0_slope_left, traj)
+    assert all(math.isfinite(r) for r in full)
+    assert full == peak_slope_forecast(ic.v0_slope_right, ic.v0_slope_left, trimmed)
 
 
 def test_peak_slope_scalar_system_reduces_to_linear_laws():
