@@ -92,7 +92,7 @@ class ScenarioConfig:
                 raise ConfigError("c must be positive")
 
 
-_TERM = re.compile(r"^(?:([+-]?[\d.]+(?:[eE][+-]?\d+)?)\*)?(sin|cos)(\d+)?$")
+_TERM = re.compile(r"^(?:([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*)?(sin|cos)(\d+)?$")
 _TERM_SEP = re.compile(r"(?<![eE])\+")  # a '+' after e/E is an exponent sign
 
 

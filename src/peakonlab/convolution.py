@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import TWO_PI, m
-from .quadrature import cumulative_integral, fd_derivative
+from .quadrature import as_grid, cumulative_integral, fd_derivative
 
 @dataclass(frozen=True)
 class DensitySample:
@@ -90,35 +90,29 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
     return _half_convolution("phi", sample, targets)
 
 
-def node_convolutions(s: np.ndarray, X: np.ndarray, V: np.ndarray,
-                      U: np.ndarray, J: np.ndarray):
+def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndarray):
     """Q[v] and P[v] at every characteristic node in O(n).
 
     Splitting the kernel's cosh/sinh of (X_i - X_j) by addition formulas
-    turns both convolutions into two running Hermite integrals
-    (:func:`.quadrature.cumulative_integral`) of cosh(X) g and sinh(X) g with
-    g = q J in the characteristic parameter s, each read from below and from
-    above every node.  On a position grid (X = s, J = 1) the result is
-    algebraically the panel-split rule of :func:`conv_q`/:func:`conv_p`, at
-    O(n) instead of O(n^2).  Used by the nonlinear integrator each stage.
+    turns both convolutions into running Hermite integrals of cosh(X) g and
+    sinh(X) g, g = q J, over the characteristic parameter s: two rows of one
+    :func:`.quadrature.cumulative_integral`, read from below and from above
+    every node.  On a position grid (X = s, J = 1) this is algebraically the
+    panel-split rule of :func:`conv_q`/:func:`conv_p`, at O(n) instead of
+    O(n^2).  The nonlinear integrator calls it every stage with s as its
+    :class:`.quadrature.Grid`.
     """
+    grid = as_grid(s)
     g = (V * V + 0.5 * U * U) * J
-    gp = fd_derivative(s, g)
-    cX = np.cosh(X)
-    sX = np.sinh(X)
-    h_c = cX * g
-    h_s = sX * g
-    hp_c = sX * J * g + cX * gp
-    hp_s = cX * J * g + sX * gp
-    low_c = cumulative_integral(s, h_c, hp_c)
-    low_s = cumulative_integral(s, h_s, hp_s)
-    high_c = low_c[-1] - low_c
-    high_s = low_s[-1] - low_s
-
-    sh_lo = np.sinh(math.pi - X)
-    ch_lo = np.cosh(math.pi - X)
-    sh_hi = np.sinh(math.pi + X)
-    ch_hi = np.cosh(math.pi + X)
+    gp = fd_derivative(grid, g)
+    h = np.empty((2, len(X)))  # rows cosh(X), sinh(X); h[::-1] swaps them
+    np.cosh(X, out=h[0])
+    np.sinh(X, out=h[1])
+    low = cumulative_integral(grid, h * g, h[::-1] * J * g + h * gp)
+    del grid, g, gp, h  # lowers the peak memory of a stage
+    (low_c, low_s), (high_c, high_s) = low, low[:, -1:] - low
+    lo, hi = math.pi - X, math.pi + X
+    sh_lo, ch_lo, sh_hi, ch_hi = np.sinh(lo), np.cosh(lo), np.sinh(hi), np.cosh(hi)
     Q = 0.5 * m * (-sh_lo * low_c - ch_lo * low_s + sh_hi * high_c - ch_hi * high_s)
     P = 0.5 * m * (ch_lo * low_c + sh_lo * low_s + ch_hi * high_c - sh_hi * high_s)
     return Q, P

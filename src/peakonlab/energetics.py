@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import M, m, phi_open_interval, phi_prime_open_interval
-from .quadrature import integrate_samples
+from .quadrature import Grid, integrate_samples
 from .state import CharacteristicState
 
 #: E(phi) = m^2 sinh(2*pi), simplified via m^2 sinh(2*pi) = 2 coth(pi)
@@ -78,7 +78,7 @@ class EnergyReport:
 
 def energies(state: CharacteristicState) -> EnergyReport:
     """Evaluate all energy functionals on one characteristic state."""
-    s, X, V, W, U, J = state.s, state.X, state.V, state.W, state.U, state.J
+    s, X, V, U, J = Grid(state.s), state.X, state.V, state.U, state.J  # one grid for all
     ph = phi_open_interval(X)
     php = phi_prime_open_interval(X)  # one-sided at the fixed endpoints
 

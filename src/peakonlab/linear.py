@@ -172,13 +172,12 @@ def _linear_rhs(Z: np.ndarray, pmv: float, stretch=0.0) -> np.ndarray:
     php = phi_prime_open_interval(X)  # one-sided at the fixed endpoints
     coshX = np.cosh(X)
     sinhX = np.sinh(X)
-    dZ = np.stack([
-        ph - M,
-        php * W + pmv * (1.0 - coshX),
-        ph * W - pmv * sinhX,
-        php * (W - U) + ph * V - pmv * coshX,
-        (php + stretch) * J,
-    ])
+    dZ = np.empty_like(Z)
+    np.subtract(ph, M, out=dZ[0])
+    np.add(php * W, pmv * (1.0 - coshX), out=dZ[1])
+    np.subtract(ph * W, pmv * sinhX, out=dZ[2])
+    np.subtract(php * (W - U) + ph * V, pmv * coshX, out=dZ[3])
+    np.multiply(php + stretch, J, out=dZ[4])
     dZ[0, 0] = dZ[0, -1] = 0.0  # the peak characteristics are exact fixed points
     return dZ
 

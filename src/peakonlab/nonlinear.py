@@ -39,12 +39,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .convolution import node_convolutions
 from .kernel import M, TWO_PI, m, phi
 from .linear import _linear_rhs
 from .profiles import InitialCondition
+from .quadrature import Grid
 from .state import CharacteristicState, initial_state, march, save_steps
 
 
@@ -90,18 +90,18 @@ def _peak_forcing(v_peak, p0, pmv: float):
     return M * v_peak - pmv + v_peak ** 2 - p0
 
 
-def _rhs(s: np.ndarray, Z: np.ndarray, pmv: float):
-    """Stage derivative for stacked Z = (X, W, V, U, J); returns (dZ, P0)."""
+def _rhs(s, Z: np.ndarray, pmv: float):
+    """Stage derivative for stacked Z = (X, W, V, U, J) on the grid s; returns (dZ, P0)."""
     X, W, V, U, J = Z
     Q, P = node_convolutions(s, X, V, U, J)
-    v0 = V[0]
-    p0 = P[0]
+    v0, p0 = V[0], P[0]
     dZ = _linear_rhs(Z, pmv, stretch=U)
-    dZ[0] = dZ[0] + V - v0
-    dZ[1] = dZ[1] + 0.5 * (V * V - v0 * v0) - P + p0
-    dZ[2] = dZ[2] - Q
-    dZ[3] = dZ[3] - 0.5 * U * U + V * V - P
-    dZ[0, 0] = dZ[0, -1] = 0.0  # the peak characteristics are exact fixed points
+    dX, dW, dV, dU, _ = dZ  # rows of dZ, completed in place
+    np.subtract(dX + V, v0, out=dX)
+    np.add(dW + 0.5 * (V * V - v0 * v0) - P, p0, out=dW)
+    dV -= Q
+    np.subtract(dU - 0.5 * U * U + V * V, P, out=dU)
+    dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
     return dZ, p0
 
 
@@ -131,7 +131,8 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     n_steps, saves = save_steps(t_end, dt, save_times)
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
-    rhs = lambda t, Z: _rhs(start.s, Z, pmv)  # autonomous; side output P0
+    grid = Grid(start.s)  # built once, used by every stage
+    rhs = lambda t, Z: _rhs(grid, Z, pmv)  # autonomous; side output P0
     max_u = lambda Z: float(np.max(np.abs(Z[3])))
     rows = []  # (t, V|peak, P(0), U+, U-, max|U|) of every finite state reached
     saved, _, t_stop, outcome = march(
@@ -184,6 +185,7 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
     run actually carried on its peak-side characteristics; both are infinite
     when the forecast leaves the reals.
     """
+    from scipy.interpolate import PchipInterpolator  # slow to import; no CLI path needs it
     finite = np.isfinite(trajectory.diag_v_peak) & np.isfinite(trajectory.diag_p0)
     n = int(np.logical_and.accumulate(finite).sum())
     if n < 2:
@@ -255,6 +257,7 @@ def reconstruct_u(state: CharacteristicState, x_grid):
     the peak drift rate: the crest location moves with da/dt = v|peak on top
     of the background speed M.
     """
+    from scipy.interpolate import PchipInterpolator  # slow to import; no CLI path needs it
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid < -1e-12) or np.any(x_grid > TWO_PI + 1e-12):
         raise ValueError("x_grid must lie within [0, 2*pi]")

@@ -20,78 +20,101 @@ from __future__ import annotations
 import numpy as np
 
 
-def fd_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+class Grid:
+    """Increasing nodes with their panel weights and derivative stencil, each built once."""
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or len(x) == 0:
+            raise ValueError("nodes must be a nonempty 1-d array")
+        self.x, self.dx = x, x[1:] - x[:-1]
+        if len(x) > 1 and self.dx.min() <= 0:
+            raise ValueError("nodes must be strictly increasing")
+        self._panel = self._stencil = None
+
+    @property
+    def panel(self):
+        """(dx/2, dx^2/12): the weights of f and f' in each panel; built on first use."""
+        if self._panel is None:
+            self._panel = 0.5 * self.dx, self.dx * self.dx / 12.0
+        return self._panel
+
+    @property
+    def stencil(self):
+        """Weights (-w0, w1, w2) of f[k-1], f[k], f[k+1] at the interior nodes k, then
+        the one-sided weights at the first and the last node; built on first use."""
+        if self._stencil is None:
+            if len(self.dx) < 2:
+                raise ValueError("need at least 3 nodes for a derivative estimate")
+            h1, h2 = self.dx[:-1], self.dx[1:]
+            h12 = h1 + h2
+            interior = (h2 / (h1 * h12), (h2 - h1) / (h1 * h2), h1 / (h2 * h12))
+            (h1, h2), (k1, k2) = self.dx[:2].tolist(), self.dx[-2:].tolist()
+            h12, k12 = h1 + h2, k1 + k2
+            first = (-(2 * h1 + h2) / (h1 * h12), h12 / (h1 * h2), -(h1 / (h2 * h12)))
+            last = (k2 / (k1 * k12), -(k12 / (k1 * k2)), (2 * k2 + k1) / (k2 * k12))
+            self._stencil = interior, first, last
+        return self._stencil
+
+
+def as_grid(x) -> Grid:
+    """x itself when it is a :class:`Grid`, else the grid of the nodes x."""
+    return x if isinstance(x, Grid) else Grid(x)
+
+
+def fd_derivative(x, f: np.ndarray) -> np.ndarray:
     """Three-point finite-difference derivative on a nonuniform grid.
 
     Interior nodes use the centered unequal-spacing stencil; the first and
     last node use the one-sided three-point stencil, so values beyond the
     array never enter (the ends may sit on corners of the integrand).
+    ``x`` is the nodes or their :class:`Grid`; rows of f run along the last axis.
     """
-    if len(x) < 3:
-        raise ValueError("need at least 3 nodes for a derivative estimate")
+    (a, b, c), (a0, b0, c0), (a1, b1, c1) = as_grid(x).stencil
     d = np.empty_like(f)
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    d[1:-1] = (-h2 / (h1 * (h1 + h2)) * f[:-2]
-               + (h2 - h1) / (h1 * h2) * f[1:-1]
-               + h1 / (h2 * (h1 + h2)) * f[2:])
-    h1, h2 = x[1] - x[0], x[2] - x[1]
-    d[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)) * f[0]
-            + (h1 + h2) / (h1 * h2) * f[1]
-            - h1 / (h2 * (h1 + h2)) * f[2])
-    h1, h2 = x[-2] - x[-3], x[-1] - x[-2]
-    d[-1] = (h2 / (h1 * (h1 + h2)) * f[-3]
-             - (h1 + h2) / (h1 * h2) * f[-2]
-             + (2 * h2 + h1) / (h2 * (h1 + h2)) * f[-1])
+    inner = np.subtract(b * f[..., 1:-1], a * f[..., :-2], out=d[..., 1:-1])
+    inner += c * f[..., 2:]
+    ft, dt = f.T, d.T  # ft[k]: node k of every row, a scalar for one row
+    dt[0] = a0 * ft[0] + b0 * ft[1] + c0 * ft[2]
+    dt[-1] = a1 * ft[-3] + b1 * ft[-2] + c1 * ft[-1]
     return d
 
 
-def panel_integrals(dx: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-                    dfa: np.ndarray | None = None,
-                    dfb: np.ndarray | None = None) -> np.ndarray:
-    """Per-panel Hermite integrals; plain trapezoid when derivatives are None."""
-    base = 0.5 * dx * (fa + fb)
-    if dfa is None:
+def panel_integrals(grid: Grid, f: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
+    """Per-panel Hermite integrals along the last axis; trapezoid without derivative."""
+    half, dx2_12 = grid.panel
+    base = half * (f[..., :-1] + f[..., 1:])
+    if derivative is None:
         return base
-    return base + dx * dx / 12.0 * (dfa - dfb)
+    return base + dx2_12 * (derivative[..., :-1] - derivative[..., 1:])
 
 
-def integrate_samples(x: np.ndarray, f: np.ndarray,
-                      derivative: np.ndarray | None = None) -> float:
-    """Integrate samples f over the increasing nodes x by Hermite panels.
+def integrate_samples(x, f: np.ndarray, derivative: np.ndarray | None = None) -> float:
+    """Integrate samples f over the increasing nodes x (or their :class:`Grid`).
 
-    A missing ``derivative`` array is replaced by :func:`fd_derivative`, which
-    keeps the composite rule fourth order for smooth data and degrades
+    A missing ``derivative`` array is replaced by :func:`fd_derivative`,
+    which keeps the composite rule fourth order for smooth data and degrades
     gracefully to second order across interior corners.
     """
-    x = np.asarray(x, dtype=float)
+    grid = as_grid(x)
     f = np.asarray(f, dtype=float)
-    if x.shape != f.shape or x.ndim != 1:
-        raise ValueError("nodes and samples must be 1-d arrays of equal length")
-    if len(x) < 2:
-        raise ValueError("need at least 2 nodes")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("nodes must be strictly increasing")
-    return float(cumulative_integral(x, f, derivative)[-1])
+    if f.shape != grid.x.shape or len(f) < 2:
+        raise ValueError("need samples at 2 or more nodes, one per node")
+    return float(cumulative_integral(grid, f, derivative)[-1])
 
 
-def cumulative_integral(x: np.ndarray, f: np.ndarray,
-                        derivative: np.ndarray | None = None) -> np.ndarray:
-    """Running integral from x[0] to every node, Hermite panels throughout.
+def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
+    """Running integral from the first node to every node, along the last axis of f.
 
-    The one panel sum: :func:`integrate_samples`, the corner-split
-    convolution rule and the O(n) convolutions read their integrals off it.
+    ``x`` is the nodes or their :class:`Grid`.  The one panel sum:
+    :func:`integrate_samples`, the corner-split convolution rule and the
+    O(n) convolutions read their integrals off it.
     """
-    x = np.asarray(x, dtype=float)
+    grid = as_grid(x)
     f = np.asarray(f, dtype=float)
-    dx = np.diff(x)
-    if derivative is None and len(x) >= 3:
-        derivative = fd_derivative(x, f)
-    if derivative is not None:
-        panels = panel_integrals(dx, f[:-1], f[1:], derivative[:-1], derivative[1:])
-    else:
-        panels = panel_integrals(dx, f[:-1], f[1:])
-    out = np.empty(len(x))
-    out[0] = 0.0
-    np.cumsum(panels, out=out[1:])
+    if derivative is None and len(grid.x) >= 3:
+        derivative = fd_derivative(grid, f)
+    out = np.empty(f.shape)
+    out[..., 0] = 0.0
+    np.cumsum(panel_integrals(grid, f, derivative), axis=-1, out=out[..., 1:])
     return out

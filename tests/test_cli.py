@@ -1,6 +1,11 @@
 """Command-line harness: config parsing, outputs, determinism, exit codes."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +59,12 @@ def test_parse_ic_spec_errors():
         parse_ic_spec("sin++cos")
     for spec in ("1e400*sin", "inf", "-inf", "nan", "1e308*cos+1e308*cos", "1e308+1e308"):
         with pytest.raises(ConfigError, match="finite"):
+            parse_ic_spec(spec)
+
+
+def test_parse_ic_spec_bad_coefficient_names_term():
+    for spec, term in (("1.2.3*sin", "1.2.3*sin"), ("0.5*cos+.*sin2", ".*sin2")):
+        with pytest.raises(ConfigError, match=re.escape(f"ic: cannot parse term {term!r}")):
             parse_ic_spec(spec)
 
 
@@ -281,3 +292,12 @@ def test_unwritable_output_dir_reported():
     config = ScenarioConfig(mode="classify", out_dir="/proc/definitely/not/writable")
     with pytest.raises(ConfigError):
         run_scenario(config)
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # only the forecast and the reconstruction need it; every CLI path skips both
+    code = "import sys, peakonlab.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"

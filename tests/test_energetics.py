@@ -9,6 +9,7 @@ from peakonlab.energetics import E_PHI, F_PHI, check_conserved, energies
 from peakonlab.kernel import M
 from peakonlab.linear import integrate_linear
 from peakonlab.profiles import InitialCondition, sine
+from peakonlab.quadrature import integrate_samples
 from peakonlab.state import initial_state
 
 TWO_PI = 2.0 * math.pi
@@ -83,3 +84,12 @@ def test_check_conserved_reports_relative_and_absolute():
     assert drifts["vbar"]["abs"] < 1e-8
     with pytest.raises(ValueError):
         check_conserved([])
+
+
+def test_energies_match_integrals_on_the_node_array():
+    # energies builds one grid for its integrals; the values keep every bit
+    st = initial_state(sine(0.3), 256)
+    rep = energies(st)
+    V, U, J = st.V, st.U, st.J
+    assert rep.E_v == integrate_samples(st.s, (V * V + U * U) * J)
+    assert rep.vbar_measured == integrate_samples(st.s, V * J) / (2.0 * math.pi)

@@ -140,6 +140,26 @@ def test_energy_conservation_small_amplitude():
     assert drifts["combo_nonlinear"]["rel"] < 1e-5
 
 
+def test_one_convolution_per_rhs_stage(monkeypatch):
+    # four RK4 stages per step plus the final record's stage, for a completed
+    # and a stopped run: a benchmark reads the step count off these calls
+    calls = []
+    original = nonlinear.node_convolutions
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(nonlinear, "node_convolutions", counted)
+    _, report = integrate_nonlinear(sine(0.01), 0.05, dt=1e-2, n_chars=32)
+    assert report.status == "completed" and len(calls) == 4 * 5 + 1
+    calls.clear()
+    _, report = integrate_nonlinear(bump(-0.5), 6.0, dt=1e-2, n_chars=32)
+    steps = round(report.t_stop / 1e-2)
+    assert report.status == "blew_up" and 0 < steps < 600
+    assert len(calls) == 4 * steps + 1
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         integrate_nonlinear(sine(), 1.0, dt=0.0, n_chars=64)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from peakonlab.quadrature import cumulative_integral, fd_derivative, integrate_samples
+from peakonlab.quadrature import Grid, cumulative_integral, fd_derivative, integrate_samples
 
 
 def test_exact_for_cubics_with_derivatives():
@@ -53,3 +53,48 @@ def test_input_validation():
         integrate_samples(np.array([0.0, 1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         integrate_samples(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+
+
+def _cosine_nodes(n):
+    return np.pi * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
+
+
+def test_grid_and_node_array_give_identical_bits():
+    x = _cosine_nodes(97)
+    f = np.exp(np.sin(3.0 * x)) * (1.0 + x)
+    fp = np.cos(x) * x
+    grid = Grid(x)
+    assert np.array_equal(fd_derivative(grid, f), fd_derivative(x, f))
+    for d in (None, fp):
+        assert np.array_equal(cumulative_integral(grid, f, d), cumulative_integral(x, f, d))
+        assert integrate_samples(grid, f, d) == integrate_samples(x, f, d)
+    # two nodes: the plain trapezoid, no stencil needed
+    assert np.array_equal(cumulative_integral(Grid(x[:2]), f[:2]), cumulative_integral(x[:2], f[:2]))
+
+
+def test_rows_run_along_the_last_axis():
+    x = _cosine_nodes(64)
+    rows = np.stack([np.cosh(x) * np.sin(x), np.sinh(x) * np.cos(2.0 * x)])
+    drows = np.stack([np.sin(x), x * x])
+    grid = Grid(x)
+    for d in (None, drows):
+        both = cumulative_integral(grid, rows, d)
+        for k in range(2):
+            one = cumulative_integral(grid, rows[k], None if d is None else d[k])
+            assert np.array_equal(both[k], one)
+    assert np.array_equal(fd_derivative(grid, rows)[1], fd_derivative(grid, rows[1]))
+
+
+def test_grid_validation():
+    for bad in (np.array([]), np.zeros((2, 3)), np.array([0.0, 1.0, 1.0]),
+                np.array([0.0, 2.0, 1.0])):
+        with pytest.raises(ValueError):
+            Grid(bad)
+    with pytest.raises(ValueError, match="3 nodes"):
+        fd_derivative(np.array([0.0, 1.0]), np.zeros(2))
+    with pytest.raises(ValueError):
+        integrate_samples(Grid(np.arange(4.0)), np.zeros(3))
+    with pytest.raises(ValueError):
+        integrate_samples(np.array([0.0]), np.zeros(1))
+    # one node: an empty sum, as the corner-split rule's empty side needs
+    assert np.array_equal(cumulative_integral(np.array([0.5]), np.array([2.0])), [0.0])
