@@ -1,17 +1,17 @@
 """Run the benchmark on two commits in alternating pairs and write a BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_1.json \
-        [--workloads W,W,...] [--pairs 10] [--traced-pairs 3] [--seconds 10] [--seed 0]
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_1.json
 
 Each DIR is a checkout of one commit (``git clone`` or ``git archive``), so
 each side runs the benchmark and the sources of its own tree.  A pair runs
 
-    python3 bench/run.py --workload W --seed N --seconds S --trace T
+    python3 bench/run.py --workload W --trace T
 
-once in each checkout, and consecutive pairs swap which side goes first.
-Every workload gets ``--pairs`` pairs with ``--trace 0`` (end-to-end
-metrics) and then ``--traced-pairs`` pairs with ``--trace 1`` (per-layer
-metrics and the layer sweep).
+once in each checkout (with bench/run.py's default seed and duration), and
+consecutive pairs swap which side goes first.  Every workload of the
+change's BENCHMARK.json gets ``PAIRS[0]`` pairs with ``--trace 0``
+(end-to-end metrics) and then ``PAIRS[1]`` pairs with ``--trace 1``
+(per-layer metrics and the layer sweep).
 
 The output keeps every run's result and env record, and a summary per
 workload, trace setting and metric: each side's median and quartiles, the
@@ -31,11 +31,11 @@ import time
 from pathlib import Path
 
 RUN_TIMEOUT_S = 1800
+PAIRS = {0: 10, 1: 3}  # pairs per workload with --trace 0 and with --trace 1
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", str(trace)]
+def run_bench(tree: Path, workload: str, trace: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--trace", str(trace)]
     started = time.time()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -83,12 +83,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads",
-                        default="nonlinear-sine,linear-exact-io,linear-ode-energies")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced-pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -98,13 +92,12 @@ def main(argv=None) -> int:
                                     text=True).stdout.strip() or None
                for side, tree in trees.items()}
     record = {"command": [Path(sys.argv[0]).name, *(argv if argv is not None else sys.argv[1:])],
-              "commits": commits, "seed": args.seed, "seconds": args.seconds, "pairs": []}
-    for trace, count in ((0, args.pairs), (1, args.traced_pairs)):
-        for workload in args.workloads.split(","):
+              "commits": commits, "pairs": []}
+    for trace, count in PAIRS.items():
+        for workload in (w["name"] for w in spec["workloads"]):
             for k in range(count):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                runs = {side: run_bench(trees[side], workload, args.seed, args.seconds, trace)
-                        for side in order}
+                runs = {side: run_bench(trees[side], workload, trace) for side in order}
                 record["pairs"].append({"workload": workload, "trace": trace, "pair": k,
                                         "order": list(order), "runs": runs})
                 shown = {side: runs[side]["result"]["correct"] for side in order}

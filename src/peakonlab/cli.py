@@ -103,8 +103,7 @@ def parse_ic_spec(spec: str):
     sin_c: list = []
 
     def put(coeffs, k, value):
-        while len(coeffs) < k:
-            coeffs.append(0.0)
+        coeffs.extend([0.0] * (k - len(coeffs)))
         coeffs[k - 1] += value
 
     spec = spec.strip()

@@ -170,8 +170,7 @@ def _linear_rhs(Z: np.ndarray, pmv: float, stretch=0.0) -> np.ndarray:
     X, W, V, U, J = Z
     ph = phi_open_interval(X)
     php = phi_prime_open_interval(X)  # one-sided at the fixed endpoints
-    coshX = np.cosh(X)
-    sinhX = np.sinh(X)
+    coshX, sinhX = np.cosh(X), np.sinh(X)
     dZ = np.empty_like(Z)
     np.subtract(ph, M, out=dZ[0])
     np.add(php * W, pmv * (1.0 - coshX), out=dZ[1])

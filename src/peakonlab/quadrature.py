@@ -17,6 +17,8 @@ Panel sums are accumulated left to right so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -30,36 +32,37 @@ class Grid:
         self.x, self.dx = x, x[1:] - x[:-1]
         if len(x) > 1 and self.dx.min() <= 0:
             raise ValueError("nodes must be strictly increasing")
-        self._panel = self._stencil = None
+        self.panel = 0.5 * self.dx, self.dx * self.dx / 12.0  # weights of f, f' per panel
 
-    @property
-    def panel(self):
-        """(dx/2, dx^2/12): the weights of f and f' in each panel; built on first use."""
-        if self._panel is None:
-            self._panel = 0.5 * self.dx, self.dx * self.dx / 12.0
-        return self._panel
-
-    @property
+    @cached_property
     def stencil(self):
         """Weights (-w0, w1, w2) of f[k-1], f[k], f[k+1] at the interior nodes k, then
         the one-sided weights at the first and the last node; built on first use."""
-        if self._stencil is None:
-            if len(self.dx) < 2:
-                raise ValueError("need at least 3 nodes for a derivative estimate")
-            h1, h2 = self.dx[:-1], self.dx[1:]
-            h12 = h1 + h2
-            interior = (h2 / (h1 * h12), (h2 - h1) / (h1 * h2), h1 / (h2 * h12))
-            (h1, h2), (k1, k2) = self.dx[:2].tolist(), self.dx[-2:].tolist()
-            h12, k12 = h1 + h2, k1 + k2
-            first = (-(2 * h1 + h2) / (h1 * h12), h12 / (h1 * h2), -(h1 / (h2 * h12)))
-            last = (k2 / (k1 * k12), -(k12 / (k1 * k2)), (2 * k2 + k1) / (k2 * k12))
-            self._stencil = interior, first, last
-        return self._stencil
+        if len(self.dx) < 2:
+            raise ValueError("need at least 3 nodes for a derivative estimate")
+        h1, h2 = self.dx[:-1], self.dx[1:]
+        h12 = h1 + h2
+        interior = (h2 / (h1 * h12), (h2 - h1) / (h1 * h2), h1 / (h2 * h12))
+        (h1, h2), (k1, k2) = self.dx[:2].tolist(), self.dx[-2:].tolist()
+        h12, k12 = h1 + h2, k1 + k2
+        first = (-(2 * h1 + h2) / (h1 * h12), h12 / (h1 * h2), -(h1 / (h2 * h12)))
+        last = (k2 / (k1 * k12), -(k12 / (k1 * k2)), (2 * k2 + k1) / (k2 * k12))
+        return interior, first, last
+
+
+_last_grid = None  # the grid of the last node array passed to as_grid
 
 
 def as_grid(x) -> Grid:
-    """x itself when it is a :class:`Grid`, else the grid of the nodes x."""
-    return x if isinstance(x, Grid) else Grid(x)
+    """x itself when it is a :class:`Grid`, else the grid of the nodes x, kept for as long
+    as the same node values come back (the states of one run share their nodes)."""
+    global _last_grid
+    last = _last_grid
+    if isinstance(x, Grid):
+        return x
+    if last is None or np.shape(x) != last.x.shape or not np.array_equal(x, last.x):
+        _last_grid = last = Grid(np.array(x, dtype=float))  # a copy: x may change later
+    return last
 
 
 def fd_derivative(x, f: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from peakonlab.quadrature import Grid, cumulative_integral, fd_derivative, integrate_samples
+from peakonlab.quadrature import (Grid, as_grid, cumulative_integral, fd_derivative,
+                                  integrate_samples)
 
 
 def test_exact_for_cubics_with_derivatives():
@@ -83,6 +84,20 @@ def test_rows_run_along_the_last_axis():
             one = cumulative_integral(grid, rows[k], None if d is None else d[k])
             assert np.array_equal(both[k], one)
     assert np.array_equal(fd_derivative(grid, rows)[1], fd_derivative(grid, rows[1]))
+
+
+def test_node_array_grid_is_reused_by_value():
+    x = _cosine_nodes(33)
+    f = np.sin(2.0 * x)
+    assert as_grid(x) is as_grid(list(x)) is as_grid(x.copy())
+    expected = fd_derivative(Grid(x), f)
+    x[5] += 1e-3  # changed in place: the kept grid must not be reused
+    assert as_grid(x) is not as_grid(x.copy() + 1.0)
+    assert np.array_equal(fd_derivative(x, f), fd_derivative(Grid(x.copy()), f))
+    assert not np.array_equal(fd_derivative(x, f), expected)
+    x[5] = x[4]
+    with pytest.raises(ValueError, match="increasing"):
+        fd_derivative(x, f)
 
 
 def test_grid_validation():
