@@ -103,7 +103,8 @@ def parse_ic_spec(spec: str):
     sin_c: list = []
 
     def put(coeffs, k, value):
-        coeffs.extend([0.0] * (k - len(coeffs)))
+        while len(coeffs) < k:
+            coeffs.append(0.0)
         coeffs[k - 1] += value
 
     spec = spec.strip()

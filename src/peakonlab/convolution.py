@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernel
 from .kernel import TWO_PI, m
-from .quadrature import as_grid, cumulative_integral, fd_derivative
+from .quadrature import cumulative_integral, fd_derivative
 
 @dataclass(frozen=True)
 class DensitySample:
@@ -102,14 +102,13 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     O(n^2).  The nonlinear integrator calls it every stage with s as its
     :class:`.quadrature.Grid`.
     """
-    grid = as_grid(s)
     g = (V * V + 0.5 * U * U) * J
-    gp = fd_derivative(grid, g)
+    gp = fd_derivative(s, g)
     h = np.empty((2, len(X)))  # rows cosh(X), sinh(X); h[::-1] swaps them
     np.cosh(X, out=h[0])
     np.sinh(X, out=h[1])
-    low = cumulative_integral(grid, h * g, h[::-1] * J * g + h * gp)
-    del grid, g, gp, h  # lowers the peak memory of a stage
+    low = cumulative_integral(s, h * g, h[::-1] * J * g + h * gp)
+    del g, gp, h  # lowers the peak memory of a stage
     (low_c, low_s), (high_c, high_s) = low, low[:, -1:] - low
     lo, hi = math.pi - X, math.pi + X
     sh_lo, ch_lo, sh_hi, ch_hi = np.sinh(lo), np.cosh(lo), np.sinh(hi), np.cosh(hi)
