@@ -33,7 +33,9 @@ import numpy as np
 
 from . import kernel
 from .kernel import TWO_PI, m
-from .quadrature import cumulative_integral, fd_derivative
+from .quadrature import as_grid, cumulative_integral, fd_derivative
+
+_SHIFTS = np.array([[0.0], [-math.pi], [math.pi]])  # the hyperbolic arguments X + shift
 
 @dataclass(frozen=True)
 class DensitySample:
@@ -91,7 +93,7 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
 
 
 def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndarray):
-    """Q[v] and P[v] at every characteristic node in O(n).
+    """Q[v] and P[v] at every characteristic node in O(n), as new arrays.
 
     Splitting the kernel's cosh/sinh of (X_i - X_j) by addition formulas
     turns both convolutions into running Hermite integrals of cosh(X) g and
@@ -100,21 +102,35 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     every node.  On a position grid (X = s, J = 1) this is algebraically the
     panel-split rule of :func:`conv_q`/:func:`conv_p`, at O(n) instead of
     O(n^2).  The nonlinear integrator calls it every stage with s as its
-    :class:`.quadrature.Grid`.
+    :class:`.quadrature.Grid`.  Its temporaries are buffers of that grid; the
+    caller may read "hyperbolics", cosh (row 0) and sinh (row 1) of the rows
+    (X, X - pi, pi + X), and "density", whose rows 0 and 1 are V^2 and U^2/2.
     """
-    g = (V * V + 0.5 * U * U) * J
-    gp = fd_derivative(s, g)
-    h = np.empty((2, len(X)))  # rows cosh(X), sinh(X); h[::-1] swaps them
-    np.cosh(X, out=h[0])
-    np.sinh(X, out=h[1])
-    low = cumulative_integral(s, h * g, h[::-1] * J * g + h * gp)
-    del g, gp, h  # lowers the peak memory of a stage
-    (low_c, low_s), (high_c, high_s) = low, low[:, -1:] - low
-    lo, hi = math.pi - X, math.pi + X
-    sh_lo, ch_lo, sh_hi, ch_hi = np.sinh(lo), np.cosh(lo), np.sinh(hi), np.cosh(hi)
-    Q = 0.5 * m * (-sh_lo * low_c - ch_lo * low_s + sh_hi * high_c - ch_hi * high_s)
-    P = 0.5 * m * (ch_lo * low_c + sh_lo * low_s + ch_hi * high_c - sh_hi * high_s)
-    return Q, P
+    grid = as_grid(s)
+    args, hyp = grid.buffer("hyperbolic_args", (3,)), grid.buffer("hyperbolics", (2, 3))
+    np.add(X, _SHIFTS, out=args)  # X, X - pi, pi + X
+    np.cosh(args, out=hyp[0])
+    np.sinh(args, out=hyp[1])
+    density = vv, half_uu, g, gp = grid.buffer("density", (4,))  # V^2, U^2/2, g = q J, g'
+    np.multiply(V, V, out=vv)
+    np.multiply(np.multiply(U, 0.5, out=half_uu), U, out=half_uu)
+    np.multiply(np.add(vv, half_uu, out=g), J, out=g)
+    fd_derivative(grid, g, out=gp)
+    h, lo, hi = hyp.swapaxes(0, 1)  # (cosh, sinh) of X, X - pi, pi + X; [::-1] swaps them
+    f, h_gp, df = parts = grid.buffer("integrand", (3, 2))
+    np.multiply(h, density[2:, None], out=parts[:2])  # h g and h g'
+    np.add(np.multiply(np.multiply(h[::-1], J, out=df), g, out=df), h_gp, out=df)
+    run = grid.buffer("running", (2, 2))  # integrals from below and from above, cosh and sinh rows
+    cumulative_integral(grid, f, df, out=run[0])
+    (low_c, low_s), (high_c, high_s) = run[0], np.subtract(run[0, :, -1:], run[0], out=run[1])
+    # rows Q, P: (sinh, cosh)(X - pi) low_c - (cosh, sinh)(X - pi) low_s
+    # + (sinh, cosh)(pi + X) high_c - (cosh, sinh)(pi + X) high_s
+    QP = np.multiply(lo[::-1], low_c)  # a new array: Q and P are returned
+    QP -= np.multiply(lo, low_s, out=f)
+    QP += np.multiply(hi[::-1], high_c, out=f)
+    QP -= np.multiply(hi, high_s, out=f)
+    QP *= 0.5 * m
+    return QP[0], QP[1]
 
 
 def reduction_identity_gap(profile, x: float, nodes: int = 4096) -> float:

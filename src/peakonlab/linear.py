@@ -160,24 +160,31 @@ class LinearTrajectory:
     states: list
 
 
-def _linear_rhs(Z: np.ndarray, pmv: float, stretch=0.0) -> np.ndarray:
+def _linear_rhs(Z: np.ndarray, pmv: float, stretch=0.0, hyp=None, scratch=None) -> np.ndarray:
     """Local terms of the characteristic system for stacked Z = (X, W, V, U, J).
 
     These are the whole linearized vector field; the nonlinear flow adds its
     convolution and quadratic terms to them and passes stretch = U, so that
-    dJ/dt = (phi'(X) + stretch) J.
+    dJ/dt = (phi'(X) + stretch) J, the cosh (row 0) and sinh (row 1) of X and
+    X - pi that it already has as ``hyp``, and a (3, n) ``scratch`` buffer.
     """
     X, W, V, U, J = Z
-    ph = phi_open_interval(X)
-    php = phi_prime_open_interval(X)  # one-sided at the fixed endpoints
-    coshX, sinhX = np.cosh(X), np.sinh(X)
+    if hyp is None:  # phi' is one-sided at the fixed endpoints
+        ph, php, tmp = phi_open_interval(X), phi_prime_open_interval(X), np.empty_like(X)
+        coshX, sinhX = np.cosh(X), np.sinh(X)
+    else:  # phi = m cosh(X - pi), phi' = m sinh(X - pi)
+        (coshX, sinhX), (ph, php) = hyp[:, 0], np.multiply(hyp[:, 1], m, out=scratch[:2])
+        tmp = scratch[2]
     dZ = np.empty_like(Z)
-    np.subtract(ph, M, out=dZ[0])
-    np.add(php * W, pmv * (1.0 - coshX), out=dZ[1])
-    np.subtract(ph * W, pmv * sinhX, out=dZ[2])
-    np.subtract(php * (W - U) + ph * V, pmv * coshX, out=dZ[3])
-    np.multiply(php + stretch, J, out=dZ[4])
-    dZ[0, 0] = dZ[0, -1] = 0.0  # the peak characteristics are exact fixed points
+    dX, dW, dV, dU, dJ = dZ
+    np.subtract(ph, M, out=dX)
+    np.add(np.multiply(php, W, out=dW),
+           np.multiply(np.subtract(1.0, coshX, out=tmp), pmv, out=tmp), out=dW)
+    np.subtract(np.multiply(ph, W, out=dV), np.multiply(sinhX, pmv, out=tmp), out=dV)
+    np.add(np.multiply(np.subtract(W, U, out=dU), php, out=dU), np.multiply(ph, V, out=tmp), out=dU)
+    dU -= np.multiply(coshX, pmv, out=tmp)
+    np.multiply(np.add(php, stretch, out=dJ), J, out=dJ)
+    dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
     return dZ
 
 

@@ -44,7 +44,7 @@ from .convolution import node_convolutions
 from .kernel import M, TWO_PI, m, phi
 from .linear import _linear_rhs
 from .profiles import InitialCondition
-from .quadrature import Grid
+from .quadrature import Grid, as_grid
 from .state import CharacteristicState, initial_state, march, save_steps
 
 
@@ -92,15 +92,18 @@ def _peak_forcing(v_peak, p0, pmv: float):
 
 def _rhs(s, Z: np.ndarray, pmv: float):
     """Stage derivative for stacked Z = (X, W, V, U, J) on the grid s; returns (dZ, P0)."""
+    grid = as_grid(s)
     X, W, V, U, J = Z
-    Q, P = node_convolutions(s, X, V, U, J)
+    Q, P = node_convolutions(grid, X, V, U, J)  # fills the grid buffers read below
     v0, p0 = V[0], P[0]
-    dZ = _linear_rhs(Z, pmv, stretch=U)
+    (vv, half_uu), scratch = grid.buffer("density")[:2], grid.buffer("local_terms", (3,))
+    dZ = _linear_rhs(Z, pmv, U, grid.buffer("hyperbolics")[:, :2], scratch)
     dX, dW, dV, dU, _ = dZ  # rows of dZ, completed in place
-    np.subtract(dX + V, v0, out=dX)
-    np.add(dW + 0.5 * (V * V - v0 * v0) - P, p0, out=dW)
+    np.subtract(np.add(dX, V, out=dX), v0, out=dX)
+    dW += np.multiply(np.subtract(vv, v0 * v0, out=scratch[0]), 0.5, out=scratch[0])
+    np.add(np.subtract(dW, P, out=dW), p0, out=dW)
     dV -= Q
-    np.subtract(dU - 0.5 * U * U + V * V, P, out=dU)
+    np.subtract(np.add(np.subtract(dU, half_uu, out=dU), vv, out=dU), P, out=dU)
     dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
     return dZ, p0
 
@@ -133,17 +136,17 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     pmv = math.pi * m * m * ic.vbar
     grid = Grid(start.s)  # built once, used by every stage
     rhs = lambda t, Z: _rhs(grid, Z, pmv)  # autonomous; side output P0
-    max_u = lambda Z: float(np.max(np.abs(Z[3])))
-    rows = []  # (t, V|peak, P(0), U+, U-, max|U|) of every finite state reached
+    rows = []  # (t, V|peak, P(0), U+, U-) of every finite state reached
+    slopes = [float(np.max(np.abs(start.U)))]  # max|U| of the same states, taken by stop
     saved, _, t_stop, outcome = march(
         rhs, start.stack(), dt, n_steps, saves,
-        stop=lambda Z: max_u(Z) >= slope_threshold,
-        record=lambda t, Z, p0: rows.append((t, Z[2, 0], p0, Z[3, 0], Z[3, -1], max_u(Z))))
-    diag_t, v_peak, p0, u_right, u_left, slopes = np.array(rows).T
+        stop=lambda Z: slopes.append(float(np.max(np.abs(Z[3])))) or slopes[-1] >= slope_threshold,
+        record=lambda t, Z, p0: rows.append((t, Z[2, 0], p0, Z[3, 0], Z[3, -1])))
+    diag_t, v_peak, p0, u_right, u_left = np.array(rows).T
     # a non-finite step means the slope was unbounded within it
     report = BlowupReport(
         status="completed" if outcome == "completed" else "blew_up", t_stop=t_stop,
-        max_abs_slope=math.inf if outcome == "non-finite" else float(np.max(slopes)))
+        max_abs_slope=math.inf if outcome == "non-finite" else max(slopes))
     states = [start.unstack(Z, t) for t, Z in saved]
     traj = NonlinearTrajectory(states=states, diag_t=diag_t, diag_v_peak=v_peak,
                                diag_p0=p0, diag_u_right=u_right, diag_u_left=u_left,

@@ -33,6 +33,13 @@ class Grid:
         if len(x) > 1 and self.dx.min() <= 0:
             raise ValueError("nodes must be strictly increasing")
         self.panel = 0.5 * self.dx, self.dx * self.dx / 12.0  # weights of f, f' per panel
+        self._buffers = {}
+
+    def buffer(self, name: str, rows=()) -> np.ndarray:
+        """The (*rows, n) array kept under name, one shape per name: scratch that calls reuse."""
+        if name not in self._buffers:
+            self._buffers[name] = np.empty((*rows, len(self.x)))
+        return self._buffers[name]
 
     @cached_property
     def stencil(self):
@@ -65,16 +72,17 @@ def as_grid(x) -> Grid:
     return last
 
 
-def fd_derivative(x, f: np.ndarray) -> np.ndarray:
+def fd_derivative(x, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Three-point finite-difference derivative on a nonuniform grid.
 
     Interior nodes use the centered unequal-spacing stencil; the first and
     last node use the one-sided three-point stencil, so values beyond the
     array never enter (the ends may sit on corners of the integrand).
-    ``x`` is the nodes or their :class:`Grid`; rows of f run along the last axis.
+    ``x`` is the nodes or their :class:`Grid`; rows of f run along the last axis,
+    and so do those of ``out``, which receives the result when given.
     """
     (a, b, c), (a0, b0, c0), (a1, b1, c1) = as_grid(x).stencil
-    d = np.empty_like(f)
+    d = np.empty_like(f) if out is None else out
     inner = np.subtract(b * f[..., 1:-1], a * f[..., :-2], out=d[..., 1:-1])
     inner += c * f[..., 2:]
     ft, dt = f.T, d.T  # ft[k]: node k of every row, a scalar for one row
@@ -106,10 +114,12 @@ def integrate_samples(x, f: np.ndarray, derivative: np.ndarray | None = None) ->
     return float(cumulative_integral(grid, f, derivative)[-1])
 
 
-def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
+def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Running integral from the first node to every node, along the last axis of f.
 
-    ``x`` is the nodes or their :class:`Grid`.  The one panel sum:
+    ``x`` is the nodes or their :class:`Grid`; ``out`` (shaped like f) receives the
+    result when given.  The one panel sum:
     :func:`integrate_samples`, the corner-split convolution rule and the
     O(n) convolutions read their integrals off it.
     """
@@ -117,7 +127,7 @@ def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None) 
     f = np.asarray(f, dtype=float)
     if derivative is None and len(grid.x) >= 3:
         derivative = fd_derivative(grid, f)
-    out = np.empty(f.shape)
+    out = np.empty(f.shape) if out is None else out
     out[..., 0] = 0.0
-    np.cumsum(panel_integrals(grid, f, derivative), axis=-1, out=out[..., 1:])
+    np.add.accumulate(panel_integrals(grid, f, derivative), axis=-1, out=out[..., 1:])
     return out

@@ -134,12 +134,14 @@ def save_steps(t_end: float, dt: float, save_times=None):
 def march(rhs, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, record=None):
     """Fixed-step classical RK4 for dZ/dt = f(t, Z), the one stepping loop.
 
-    ``rhs(t, Z)`` returns (f(t, Z), extra).  Keeps (k*dt, Z) after every step
-    count k in ``saves`` (0 included), and passes every finite state reached,
-    the last included, to ``record(t, Z, extra)`` with its first-stage extra.
-    Ends after ``n_steps`` ("completed"), after a step whose state satisfies
-    ``stop(Z)`` ("stopped"), or at a step that leaves the reals ("non-finite";
-    that state is dropped).  Returns (saved pairs, last finite Z, its t, outcome).
+    ``rhs(t, Z)`` returns (f(t, Z), extra), f a fresh float array (or Z itself):
+    the stages are summed in place, in its memory.  Keeps (k*dt, Z) after every
+    step count k in ``saves`` (0 included), and passes every finite state
+    reached, the last included, to ``record(t, Z, extra)`` with its first-stage
+    extra; no state is written once made.  Ends after ``n_steps`` ("completed"),
+    after a step whose state satisfies ``stop(Z)`` ("stopped"), or at a step
+    that leaves the reals ("non-finite"; that state is dropped).  Returns
+    (saved pairs, last finite Z, its t, outcome).
     """
     saved = [(0.0, Z)] if 0 in saves else []
     t, outcome = 0.0, "completed"
@@ -152,7 +154,9 @@ def march(rhs, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, reco
             k2, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k1)
             k3, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k2)
             k4, _ = rhs(t + dt, Z + dt * k3)
-            Z_next = Z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)  # k1 + 2 k2 + 2 k3 + k4, in order
+            np.add(np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2), k4, out=k2)
+            Z_next = np.add(Z, np.multiply(k2, dt / 6.0, out=k2), out=k2)
             if not np.all(np.isfinite(Z_next)):
                 return saved, Z, t, "non-finite"
             Z, t = Z_next, (k + 1) * dt

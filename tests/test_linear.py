@@ -198,6 +198,21 @@ def test_save_time_validation():
         integrate_linear(sine(), 1.0, dt=0.25, n_chars=32, save_times=[0.3, 1.0])
 
 
+def test_one_phi_open_interval_per_linear_stage(monkeypatch):
+    # four RK4 stages per step and no stage after the last step: a benchmark
+    # reads the linear step count off these calls
+    calls = []
+    original = linear.phi_open_interval
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(linear, "phi_open_interval", counted)
+    integrate_linear(sine(), 0.05, dt=1e-2, n_chars=32, save_times=[0.0, 0.02, 0.05])
+    assert len(calls) == 4 * 5
+
+
 def test_non_finite_state_raises_integration_error():
     # steps of 0.5 are far outside RK4's stability region for the e^t end;
     # the state overflows near t = 708 (e^708 ~ 1.8e307)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from peakonlab import linear, nonlinear
-from peakonlab.convolution import DensitySample, conv_q, q_density
+from peakonlab.convolution import DensitySample, conv_q, node_convolutions, q_density
 from peakonlab.energetics import check_conserved, energies
-from peakonlab.kernel import M, m, phi, phi_prime_open_interval
+from peakonlab.kernel import M, m, phi, phi_open_interval, phi_prime_open_interval
 from peakonlab.nonlinear import (integrate_nonlinear, nl_rhs, peak_slope_forecast,
                                  reconstruct_u, riccati_bound, riccati_supersolution)
 from peakonlab.profiles import InitialCondition, bump, sine, steepest_budget_bump
-from peakonlab.quadrature import integrate_samples
+from peakonlab.quadrature import Grid, cumulative_integral, fd_derivative, integrate_samples
 from peakonlab.state import initial_state
 
 TWO_PI = 2.0 * math.pi
@@ -158,6 +158,81 @@ def test_one_convolution_per_rhs_stage(monkeypatch):
     steps = round(report.t_stop / 1e-2)
     assert report.status == "blew_up" and 0 < steps < 600
     assert len(calls) == 4 * steps + 1
+
+
+def _reference_stage(s, Z, pmv):
+    """The nonlinear stage with a new array per operation: Q, P and dZ."""
+    X, W, V, U, J = Z
+    g = (V * V + 0.5 * U * U) * J
+    h = np.stack([np.cosh(X), np.sinh(X)])
+    low = cumulative_integral(s, h * g, h[::-1] * J * g + h * fd_derivative(s, g))
+    (low_c, low_s), (high_c, high_s) = low, low[:, -1:] - low
+    sh_lo, ch_lo = np.sinh(math.pi - X), np.cosh(math.pi - X)
+    sh_hi, ch_hi = np.sinh(math.pi + X), np.cosh(math.pi + X)
+    Q = 0.5 * m * (-sh_lo * low_c - ch_lo * low_s + sh_hi * high_c - ch_hi * high_s)
+    P = 0.5 * m * (ch_lo * low_c + sh_lo * low_s + ch_hi * high_c - sh_hi * high_s)
+    ph, php, v0, p0 = phi_open_interval(X), phi_prime_open_interval(X), V[0], P[0]
+    coshX, sinhX = np.cosh(X), np.sinh(X)
+    dZ = np.stack([
+        ph - M + V - v0,
+        php * W + pmv * (1.0 - coshX) + 0.5 * (V * V - v0 * v0) - P + p0,
+        ph * W - pmv * sinhX - Q,
+        php * (W - U) + ph * V - pmv * coshX - 0.5 * U * U + V * V - P,
+        (php + U) * J])
+    dZ[0, 0] = dZ[0, -1] = 0.0
+    return Q, P, dZ
+
+
+def _warped_states():
+    """Two states on one cosine grid, with X warped away from s and J != 1."""
+    ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
+    return linear.exact_state(0.7, ic, 129), linear.exact_state(1.9, ic, 129)
+
+
+def test_stage_matches_the_unbuffered_formulas_bitwise():
+    for st in _warped_states():
+        pmv = math.pi * m * m * st.vbar
+        Q, P, dZ = _reference_stage(st.s, st.stack(), pmv)
+        assert all(map(np.array_equal, node_convolutions(st.s, st.X, st.V, st.U, st.J), (Q, P)))
+        got, p0 = nonlinear._rhs(Grid(st.s), st.stack(), pmv)
+        assert np.array_equal(got, dZ) and p0 == P[0]
+
+
+def test_stage_results_are_not_reused_buffers():
+    # the grid keeps the stage's temporaries between calls; results are new
+    # arrays that later calls on other data leave alone
+    st1, st2 = _warped_states()
+    grid, pmv = Grid(st1.s), math.pi * m * m * st1.vbar
+    first, p_first = nonlinear._rhs(grid, st1.stack(), pmv)
+    kept = first.copy()
+    second, _ = nonlinear._rhs(grid, st2.stack(), pmv)
+    third, p_third = nonlinear._rhs(grid, st1.stack(), pmv)
+    assert not np.array_equal(first, second)
+    assert np.array_equal(first, kept) and np.array_equal(third, kept) and p_first == p_third
+    d1 = nl_rhs(st1)
+    kept = d1.dU.copy()
+    nl_rhs(st2)
+    assert np.array_equal(d1.dU, kept) and np.array_equal(nl_rhs(st1).dU, kept)
+
+
+def test_node_convolutions_results_survive_a_second_call():
+    st1, st2 = _warped_states()
+    Q1, P1 = node_convolutions(st1.s, st1.X, st1.V, st1.U, st1.J)
+    kept = Q1.copy(), P1.copy()
+    Q2, P2 = node_convolutions(st1.s, st2.X, st2.V, st2.U, st2.J)
+    assert not np.array_equal(Q1, Q2) and not np.array_equal(P1, P2)
+    assert np.array_equal(Q1, kept[0]) and np.array_equal(P1, kept[1])
+
+
+def test_max_abs_slope_is_the_largest_slope_of_every_state():
+    # one completed and one stopped run, saved at every step
+    dt = 1e-2
+    for ic, t_end, status in ((sine(0.3), 0.2, "completed"), (bump(-0.5), 6.0, "blew_up")):
+        times = [k * dt for k in range(round(t_end / dt) + 1)]
+        traj, report = integrate_nonlinear(ic, t_end, dt=dt, n_chars=32, save_times=times)
+        assert report.status == status and report.t_stop == traj.states[-1].t
+        assert report.max_abs_slope == max(float(np.max(np.abs(s.U))) for s in traj.states)
+        assert len(traj.states) == len(traj.diag_t)
 
 
 def test_input_validation():

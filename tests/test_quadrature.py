@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from peakonlab.quadrature import (Grid, as_grid, cumulative_integral, fd_derivative,
-                                  integrate_samples)
+                                  integrate_samples, panel_integrals)
 
 
 def test_exact_for_cubics_with_derivatives():
@@ -84,6 +84,34 @@ def test_rows_run_along_the_last_axis():
             one = cumulative_integral(grid, rows[k], None if d is None else d[k])
             assert np.array_equal(both[k], one)
     assert np.array_equal(fd_derivative(grid, rows)[1], fd_derivative(grid, rows[1]))
+
+
+def test_cumulative_integral_sums_panels_left_to_right():
+    # the running integral is np.cumsum of the panel integrals, bit for bit, on
+    # one row and on stacked rows; out= changes only where the result lands
+    x = _cosine_nodes(129)
+    grid = Grid(x)
+    rows = np.stack([np.cosh(x) * np.sin(3.0 * x), np.sinh(x) * np.cos(x)])
+    drows = np.stack([np.cos(x), x * np.sin(x)])
+    for f, d in ((rows[1], drows[1]), (rows, drows), (rows, None)):
+        full = fd_derivative(grid, f) if d is None else d
+        got = cumulative_integral(grid, f, d)
+        assert np.all(got[..., 0] == 0.0)
+        assert np.array_equal(got[..., 1:], np.cumsum(panel_integrals(grid, f, full), axis=-1))
+        out = np.full(f.shape, np.nan)
+        assert cumulative_integral(grid, f, d, out=out) is out and np.array_equal(out, got)
+    out = np.full(rows.shape, np.nan)
+    assert fd_derivative(grid, rows, out=out) is out
+    assert np.array_equal(out, fd_derivative(grid, rows))
+
+
+def test_grid_keeps_one_buffer_per_name():
+    grid = Grid(_cosine_nodes(17))
+    table = grid.buffer("table", (2, 3))
+    assert table.shape == (2, 3, 17)
+    assert grid.buffer("table", (2, 3)) is table and grid.buffer("table") is table
+    assert not np.shares_memory(grid.buffer("row"), table)
+    assert Grid(grid.x).buffer("table", (2, 3)) is not table
 
 
 def test_node_array_grid_is_reused_by_value():

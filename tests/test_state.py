@@ -113,6 +113,36 @@ def test_march_reports_non_finite_step_without_warning():
     assert len(calls) == 12  # three steps of four stages, no extra evaluation
 
 
+def _reference_rk4(rhs, Z, dt, n_steps):
+    """Classical RK4 written out with a new array per operation."""
+    for k in range(n_steps):
+        t = k * dt
+        k1, _ = rhs(t, Z)
+        k2, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k1)
+        k3, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k2)
+        k4, _ = rhs(t + dt, Z + dt * k3)
+        Z = Z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return Z
+
+
+def test_march_sums_stages_in_place_to_the_same_bits():
+    rng = np.random.default_rng(7)
+    A, Z0 = rng.normal(size=(3, 3)), rng.normal(size=(3, 4))
+    rhs = lambda t, Z: (np.sin(A @ Z) * Z + math.cos(t) * Z * Z - 0.3 * Z, None)
+    _, Z, _, outcome = march(rhs, Z0, 0.05, 20)
+    assert outcome == "completed"
+    assert np.array_equal(Z, _reference_rk4(rhs, Z0, 0.05, 20))
+
+
+def test_march_never_writes_a_state_it_kept():
+    seen = []
+    saved, Z, _, _ = march(lambda t, Z: (np.sin(Z) - 0.5 * Z, t), np.linspace(0.1, 1.0, 6), 0.1,
+                           8, saves=range(9), record=lambda t, Z, _: seen.append((Z, Z.copy())))
+    assert len(seen) == len(saved) == 9 and saved[-1][1] is Z
+    assert all(np.array_equal(kept, copy) for kept, copy in seen)
+    assert all(Zk is kept for (_, Zk), (kept, _) in zip(saved, seen))
+
+
 _AMPLITUDE = hst.floats(-0.5, 0.5)
 _PROFILES = hst.one_of(
     hst.builds(sine, _AMPLITUDE, hst.integers(1, 3)),
