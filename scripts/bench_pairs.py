@@ -16,8 +16,17 @@ change's BENCHMARK.json gets ``PAIRS[0]`` pairs with ``--trace 0``
 The output keeps every run's result and env record, and a summary per
 workload, trace setting and metric: each side's median and quartiles, the
 relative change of the median, and in how many pairs the change was better
-(ties count for neither side).  Metric directions come from the change's
-BENCHMARK.json.
+(ties count for neither side).  Metric directions and bounds come from the
+change's BENCHMARK.json.  Each end-to-end row also gets a ``verdict``, the
+first of these that holds:
+
+* ``worse``: the change's median is worse than the parent's by more than the
+  metric's bound, read as a fraction of the parent's median;
+* ``unresolved``: the parent's quartile spread, relative to its median,
+  exceeds the bound, and not every change run beats every parent run;
+* ``gain``: the change wins at least 9 of every 10 pairs and its median is
+  better than the parent's by more than the parent's q3 - q1;
+* ``no worse``.
 """
 
 from __future__ import annotations
@@ -53,8 +62,24 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list, better: dict) -> dict:
-    """{workload: {"trace<T>": {metric: summary}}} over the recorded pairs."""
+def verdict(row: dict, parent: list, change: list, bound: float) -> str:
+    """The verdict on a summary row of an end-to-end metric (module docstring)."""
+    sign = -1.0 if row["better"] == "lower" else 1.0
+    median, spread = row["parent"]["median"], row["parent"]["q3"] - row["parent"]["q1"]
+    gain = sign * (row["change"]["median"] - median)
+    separated = max(change) < min(parent) if sign < 0 else min(change) > max(parent)
+    if gain < -bound * abs(median):
+        return "worse"
+    if spread > bound * abs(median) and not separated:
+        return "unresolved"
+    if row["change_wins"] >= 0.9 * row["pairs"] and gain > spread:
+        return "gain"
+    return "no worse"
+
+
+def summarize(pairs: list, better: dict, bounds: dict | None = None) -> dict:
+    """{workload: {"trace<T>": {metric: summary}}} over the recorded pairs; the
+    metrics with a bound (the end-to-end ones) also get a verdict."""
     groups: dict = {}
     for pair in pairs:
         groups.setdefault((pair["workload"], pair["trace"]), []).append(pair)
@@ -74,6 +99,8 @@ def summarize(pairs: list, better: dict) -> dict:
                                       if parent["median"] else None),
                 "change_wins": wins, "pairs": len(group),
             }
+            if bounds and name in bounds:
+                rows[name]["verdict"] = verdict(rows[name], sides["parent"], sides["change"], bounds[name])
         out.setdefault(workload, {})[f"trace{trace}"] = rows
     return out
 
@@ -87,6 +114,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     commits = {side: subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
                                     text=True).stdout.strip() or None
@@ -103,7 +131,7 @@ def main(argv=None) -> int:
                 shown = {side: runs[side]["result"]["correct"] for side in order}
                 print(f"{workload} trace={trace} pair {k}: order {order}, correct {shown}",
                       flush=True)
-                record["summary"] = summarize(record["pairs"], better)
+                record["summary"] = summarize(record["pairs"], better, bounds)
                 args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -35,7 +35,6 @@ from . import kernel
 from .kernel import TWO_PI, m
 from .quadrature import as_grid, cumulative_integral, fd_derivative
 
-_SHIFTS = np.array([[0.0], [-math.pi], [math.pi]])  # the hyperbolic arguments X + shift
 
 @dataclass(frozen=True)
 class DensitySample:
@@ -92,6 +91,32 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
     return _half_convolution("phi", sample, targets)
 
 
+class StageWorkspace:
+    """Every row of a nonlinear RK4 stage on n nodes (34 n floats) and every view it reads,
+    built at a grid's first stage as ``grid.workspace``: then :func:`node_convolutions`, the
+    :mod:`.quadrature` sums, ``nonlinear._rhs`` and ``linear._linear_rhs`` only issue out= calls."""
+
+    def __init__(self, n: int):
+        self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
+        self.args, table = np.empty((3, n)), np.empty((2, 3, n))  # args: X, X - pi, pi + X
+        self.cosh, self.sinh = table  # of the args
+        self.h, self.lo, self.hi = table.swapaxes(0, 1)  # (cosh, sinh) of X, X - pi, pi + X
+        self.h_swap, self.lo_swap, self.hi_swap = self.h[::-1], self.lo[::-1], self.hi[::-1]
+        (self.coshX, self.sinhX), density = self.h, np.empty((4, n))
+        self.vv, self.half_uu, self.g, self.gp = density  # V^2, U^2/2, g = (V^2 + U^2/2) J, g'
+        self.g_gp, parts = density[2:, None], np.empty((3, 2, n))  # cosh and sinh rows of
+        (self.f, self.h_gp, self.df), self.f_h_gp = parts, parts[:2]  # h g, h g', (h g)'
+        run = np.empty((2, 2, n))  # running integrals of f from below and from above each node
+        self.low, self.high, self.low_end = run[0], run[1], run[0, :, -1:]
+        (self.low_c, self.low_s), (self.high_c, self.high_s) = run
+        self.dZ, local = np.empty((5, n)), np.empty((3, n))  # dZ: the stage derivative
+        self.dZ_rows, self.phis, (self.ph, self.php, self.tmp) = tuple(self.dZ), local[:2], local
+        g, gp, f, df = self.g, self.gp, self.f, self.df  # stencil, panels: scratch in free rows
+        self.fd_views = g[1:-1], g[:-2], g[2:], gp[1:-1], local[2, :-2], g[:3], g[-3:]
+        self.panel_views = (f[:, :-1], f[:, 1:], df[:, :-1], df[:, 1:],
+                            run[1, :, :-1], parts[1, :, :-1])  # sums in high, scratch in h g'
+
+
 def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndarray):
     """Q[v] and P[v] at every characteristic node in O(n), as new arrays.
 
@@ -102,33 +127,31 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     every node.  On a position grid (X = s, J = 1) this is algebraically the
     panel-split rule of :func:`conv_q`/:func:`conv_p`, at O(n) instead of
     O(n^2).  The nonlinear integrator calls it every stage with s as its
-    :class:`.quadrature.Grid`.  Its temporaries are buffers of that grid; the
-    caller may read "hyperbolics", cosh (row 0) and sinh (row 1) of the rows
-    (X, X - pi, pi + X), and "density", whose rows 0 and 1 are V^2 and U^2/2.
+    :class:`.quadrature.Grid`.  Its temporaries are the fields of that grid's
+    :class:`StageWorkspace`; the caller may read the table ``h``, ``lo``, ``hi``
+    (cosh and sinh of X, X - pi, pi + X) and the rows ``vv`` = V^2, ``half_uu`` = U^2/2.
     """
     grid = as_grid(s)
-    args, hyp = grid.buffer("hyperbolic_args", (3,)), grid.buffer("hyperbolics", (2, 3))
-    np.add(X, _SHIFTS, out=args)  # X, X - pi, pi + X
-    np.cosh(args, out=hyp[0])
-    np.sinh(args, out=hyp[1])
-    density = vv, half_uu, g, gp = grid.buffer("density", (4,))  # V^2, U^2/2, g = q J, g'
-    np.multiply(V, V, out=vv)
-    np.multiply(np.multiply(U, 0.5, out=half_uu), U, out=half_uu)
-    np.multiply(np.add(vv, half_uu, out=g), J, out=g)
-    fd_derivative(grid, g, out=gp)
-    h, lo, hi = hyp.swapaxes(0, 1)  # (cosh, sinh) of X, X - pi, pi + X; [::-1] swaps them
-    f, h_gp, df = parts = grid.buffer("integrand", (3, 2))
-    np.multiply(h, density[2:, None], out=parts[:2])  # h g and h g'
-    np.add(np.multiply(np.multiply(h[::-1], J, out=df), g, out=df), h_gp, out=df)
-    run = grid.buffer("running", (2, 2))  # integrals from below and from above, cosh and sinh rows
-    cumulative_integral(grid, f, df, out=run[0])
-    (low_c, low_s), (high_c, high_s) = run[0], np.subtract(run[0, :, -1:], run[0], out=run[1])
+    ws = grid.workspace
+    if ws is None:
+        ws = grid.workspace = StageWorkspace(len(grid.x))
+    np.add(X, ws.shifts, out=ws.args)
+    np.cosh(ws.args, out=ws.cosh)
+    np.sinh(ws.args, out=ws.sinh)
+    np.multiply(V, V, out=ws.vv)
+    np.multiply(np.multiply(U, 0.5, out=ws.half_uu), U, out=ws.half_uu)
+    np.multiply(np.add(ws.vv, ws.half_uu, out=ws.g), J, out=ws.g)
+    fd_derivative(grid, ws.g, out=ws.gp)
+    np.multiply(ws.h, ws.g_gp, out=ws.f_h_gp)  # h g and h g', h = (cosh, sinh) X
+    np.add(np.multiply(np.multiply(ws.h_swap, J, out=ws.df), ws.g, out=ws.df), ws.h_gp, out=ws.df)
+    cumulative_integral(grid, ws.f, ws.df, out=ws.low)
+    np.subtract(ws.low_end, ws.low, out=ws.high)
     # rows Q, P: (sinh, cosh)(X - pi) low_c - (cosh, sinh)(X - pi) low_s
     # + (sinh, cosh)(pi + X) high_c - (cosh, sinh)(pi + X) high_s
-    QP = np.multiply(lo[::-1], low_c)  # a new array: Q and P are returned
-    QP -= np.multiply(lo, low_s, out=f)
-    QP += np.multiply(hi[::-1], high_c, out=f)
-    QP -= np.multiply(hi, high_s, out=f)
+    QP = np.multiply(ws.lo_swap, ws.low_c)  # a new array: Q and P are returned
+    QP -= np.multiply(ws.lo, ws.low_s, out=ws.f)
+    QP += np.multiply(ws.hi_swap, ws.high_c, out=ws.f)
+    QP -= np.multiply(ws.hi, ws.high_s, out=ws.f)
     QP *= 0.5 * m
     return QP[0], QP[1]
 

@@ -160,23 +160,22 @@ class LinearTrajectory:
     states: list
 
 
-def _linear_rhs(Z: np.ndarray, pmv: float, stretch=0.0, hyp=None, scratch=None) -> np.ndarray:
+def _linear_rhs(Z: np.ndarray, pmv: float, ws=None) -> np.ndarray:
     """Local terms of the characteristic system for stacked Z = (X, W, V, U, J).
 
-    These are the whole linearized vector field; the nonlinear flow adds its
-    convolution and quadratic terms to them and passes stretch = U, so that
-    dJ/dt = (phi'(X) + stretch) J, the cosh (row 0) and sinh (row 1) of X and
-    X - pi that it already has as ``hyp``, and a (3, n) ``scratch`` buffer.
+    Without ``ws`` these are the whole linearized vector field.  The nonlinear stage
+    passes its :class:`.convolution.StageWorkspace`: its table gives phi, phi', cosh X and
+    sinh X, its dZ takes the terms, dJ/dt = (phi'(X) + U) J, and the stage zeroes dX's ends.
     """
-    X, W, V, U, J = Z
-    if hyp is None:  # phi' is one-sided at the fixed endpoints
+    X, W, V, U, J = Z[0], Z[1], Z[2], Z[3], Z[4]  # indexing: iterating over Z is slower
+    if ws is None:  # phi' is one-sided at the fixed endpoints
         ph, php, tmp = phi_open_interval(X), phi_prime_open_interval(X), np.empty_like(X)
-        coshX, sinhX = np.cosh(X), np.sinh(X)
-    else:  # phi = m cosh(X - pi), phi' = m sinh(X - pi)
-        (coshX, sinhX), (ph, php) = hyp[:, 0], np.multiply(hyp[:, 1], m, out=scratch[:2])
-        tmp = scratch[2]
-    dZ = np.empty_like(Z)
-    dX, dW, dV, dU, dJ = dZ
+        coshX, sinhX, stretch, dZ = np.cosh(X), np.sinh(X), 0.0, np.empty_like(Z)
+        dX, dW, dV, dU, dJ = dZ[0], dZ[1], dZ[2], dZ[3], dZ[4]
+    else:
+        np.multiply(ws.lo, m, out=ws.phis)
+        ph, php, tmp, coshX, sinhX, stretch = ws.ph, ws.php, ws.tmp, ws.coshX, ws.sinhX, U
+        dZ, (dX, dW, dV, dU, dJ) = ws.dZ, ws.dZ_rows
     np.subtract(ph, M, out=dX)
     np.add(np.multiply(php, W, out=dW),
            np.multiply(np.subtract(1.0, coshX, out=tmp), pmv, out=tmp), out=dW)
@@ -184,7 +183,8 @@ def _linear_rhs(Z: np.ndarray, pmv: float, stretch=0.0, hyp=None, scratch=None) 
     np.add(np.multiply(np.subtract(W, U, out=dU), php, out=dU), np.multiply(ph, V, out=tmp), out=dU)
     dU -= np.multiply(coshX, pmv, out=tmp)
     np.multiply(np.add(php, stretch, out=dJ), J, out=dJ)
-    dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
+    if ws is None:
+        dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
     return dZ
 
 

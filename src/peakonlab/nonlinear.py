@@ -93,19 +93,18 @@ def _peak_forcing(v_peak, p0, pmv: float):
 def _rhs(s, Z: np.ndarray, pmv: float):
     """Stage derivative for stacked Z = (X, W, V, U, J) on the grid s; returns (dZ, P0)."""
     grid = as_grid(s)
-    X, W, V, U, J = Z
-    Q, P = node_convolutions(grid, X, V, U, J)  # fills the grid buffers read below
-    v0, p0 = V[0], P[0]
-    (vv, half_uu), scratch = grid.buffer("density")[:2], grid.buffer("local_terms", (3,))
-    dZ = _linear_rhs(Z, pmv, U, grid.buffer("hyperbolics")[:, :2], scratch)
-    dX, dW, dV, dU, _ = dZ  # rows of dZ, completed in place
+    X, V, U, J = Z[0], Z[2], Z[3], Z[4]  # indexing: iterating over Z is slower
+    Q, P = node_convolutions(grid, X, V, U, J)  # fills the grid's workspace, read below
+    ws, v0, p0 = grid.workspace, V.item(0), P.item(0)
+    _linear_rhs(Z, pmv, ws)  # into ws.dZ, completed in place below
+    dX, dW, dV, dU, _ = ws.dZ_rows
     np.subtract(np.add(dX, V, out=dX), v0, out=dX)
-    dW += np.multiply(np.subtract(vv, v0 * v0, out=scratch[0]), 0.5, out=scratch[0])
+    dW += np.multiply(np.subtract(ws.vv, v0 * v0, out=ws.tmp), 0.5, out=ws.tmp)
     np.add(np.subtract(dW, P, out=dW), p0, out=dW)
     dV -= Q
-    np.subtract(np.add(np.subtract(dU, half_uu, out=dU), vv, out=dU), P, out=dU)
+    np.subtract(np.add(np.subtract(dU, ws.half_uu, out=dU), ws.vv, out=dU), P, out=dU)
     dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
-    return dZ, p0
+    return ws.dZ.copy(), p0
 
 
 def nl_rhs(state: CharacteristicState) -> StateDerivative:
@@ -140,7 +139,7 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     slopes = [float(np.max(np.abs(start.U)))]  # max|U| of the same states, taken by stop
     saved, _, t_stop, outcome = march(
         rhs, start.stack(), dt, n_steps, saves,
-        stop=lambda Z: slopes.append(float(np.max(np.abs(Z[3])))) or slopes[-1] >= slope_threshold,
+        stop=lambda Z: slopes.append(float(np.abs(Z[3]).max())) or slopes[-1] >= slope_threshold,
         record=lambda t, Z, p0: rows.append((t, Z[2, 0], p0, Z[3, 0], Z[3, -1])))
     diag_t, v_peak, p0, u_right, u_left = np.array(rows).T
     # a non-finite step means the slope was unbounded within it

@@ -33,13 +33,7 @@ class Grid:
         if len(x) > 1 and self.dx.min() <= 0:
             raise ValueError("nodes must be strictly increasing")
         self.panel = 0.5 * self.dx, self.dx * self.dx / 12.0  # weights of f, f' per panel
-        self._buffers = {}
-
-    def buffer(self, name: str, rows=()) -> np.ndarray:
-        """The (*rows, n) array kept under name, one shape per name: scratch that calls reuse."""
-        if name not in self._buffers:
-            self._buffers[name] = np.empty((*rows, len(self.x)))
-        return self._buffers[name]
+        self.workspace = None  # a .convolution.StageWorkspace, built by a nonlinear stage
 
     @cached_property
     def stencil(self):
@@ -81,7 +75,16 @@ def fd_derivative(x, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     ``x`` is the nodes or their :class:`Grid`; rows of f run along the last axis,
     and so do those of ``out``, which receives the result when given.
     """
-    (a, b, c), (a0, b0, c0), (a1, b1, c1) = as_grid(x).stencil
+    grid = as_grid(x)
+    (a, b, c), (a0, b0, c0), (a1, b1, c1) = grid.stencil
+    ws = grid.workspace
+    if ws is not None and f is ws.g and out is ws.gp:  # the stage's rows: bound views, no new array
+        mid, below, above, inner, tmp, head, tail = ws.fd_views
+        np.subtract(np.multiply(mid, b, out=inner), np.multiply(below, a, out=tmp), out=inner)
+        inner += np.multiply(above, c, out=tmp)
+        (f0, f1, f2), (e0, e1, e2) = head.tolist(), tail.tolist()  # Python floats
+        out[0], out[-1] = a0 * f0 + b0 * f1 + c0 * f2, a1 * e0 + b1 * e1 + c1 * e2
+        return out
     d = np.empty_like(f) if out is None else out
     inner = np.subtract(b * f[..., 1:-1], a * f[..., :-2], out=d[..., 1:-1])
     inner += c * f[..., 2:]
@@ -94,6 +97,11 @@ def fd_derivative(x, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 def panel_integrals(grid: Grid, f: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
     """Per-panel Hermite integrals along the last axis; trapezoid without derivative."""
     half, dx2_12 = grid.panel
+    ws = grid.workspace
+    if ws is not None and f is ws.f and derivative is ws.df:  # summed in the workspace's rows
+        f_lo, f_hi, d_lo, d_hi, out, tmp = ws.panel_views
+        base = np.multiply(np.add(f_lo, f_hi, out=out), half, out=out)
+        return np.add(base, np.multiply(np.subtract(d_lo, d_hi, out=tmp), dx2_12, out=tmp), out=out)
     base = half * (f[..., :-1] + f[..., 1:])
     if derivative is None:
         return base

@@ -157,7 +157,7 @@ def march(rhs, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, reco
             np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)  # k1 + 2 k2 + 2 k3 + k4, in order
             np.add(np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2), k4, out=k2)
             Z_next = np.add(Z, np.multiply(k2, dt / 6.0, out=k2), out=k2)
-            if not np.all(np.isfinite(Z_next)):
+            if not np.isfinite(Z_next).all():
                 return saved, Z, t, "non-finite"
             Z, t = Z_next, (k + 1) * dt
             if k + 1 in saves:

@@ -8,11 +8,15 @@ import pytest
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
-def _summarize():
+def _script():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarize
+    return module
+
+
+def _summarize():
+    return _script().summarize
 
 
 def _pair(k, parent, change):
@@ -33,3 +37,38 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert rows["run_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 3.0}
     assert rows["run_s"]["median_change_rel"] == pytest.approx(0.0)
     assert rows["rate"]["pairs"] == 3
+
+
+def _verdict(parent, change, better="lower", bound=0.25):
+    pairs = [_pair(k, {"run_s": p}, {"run_s": c}) for k, (p, c) in enumerate(zip(parent, change))]
+    rows = _script().summarize(pairs, {"run_s": better}, {"run_s": bound})["w"]["trace0"]
+    return rows["run_s"]["verdict"]
+
+
+PARENT = [2.0, 2.1, 1.9, 2.0, 2.05, 1.95, 2.0, 2.1, 1.9, 2.0]  # median 2.0, q3 - q1 0.1
+
+
+def test_verdict_gain_needs_nine_wins_and_a_median_beyond_the_parent_spread():
+    faster = [p - 0.3 for p in PARENT]
+    assert _verdict(PARENT, faster) == "gain"
+    assert _verdict([-x for x in PARENT], [-x for x in faster], "higher") == "gain"
+    eight = faster[:8] + PARENT[8:]  # 8/10 wins
+    assert _verdict(PARENT, eight) == "no worse"
+    close = [p - 0.04 for p in PARENT]  # 10/10 wins, median inside the spread
+    assert _verdict(PARENT, close) == "no worse"
+
+
+def test_verdict_worse_beyond_the_bound_of_the_parent_median():
+    assert _verdict(PARENT, [p * 1.3 for p in PARENT]) == "worse"
+    assert _verdict(PARENT, [p * 1.2 for p in PARENT]) == "no worse"
+    assert _verdict(PARENT, [p * 0.7 for p in PARENT], "higher") == "worse"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_beyond_the_bound():
+    wide = [1.0, 3.0, 1.2, 2.8, 1.1, 2.9, 1.0, 3.0, 2.0, 2.0]  # q3 - q1 > 0.25 * median
+    assert _verdict(wide, [p - 0.01 for p in wide]) == "unresolved"
+    assert _verdict(wide, [0.1] * 10) == "gain"  # every change run beats every parent run
+
+
+def test_verdict_no_worse_for_a_flat_change():
+    assert _verdict(PARENT, PARENT[::-1]) == "no worse"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from peakonlab import linear, nonlinear
+from peakonlab import convolution, linear, nonlinear
 from peakonlab.convolution import DensitySample, conv_q, node_convolutions, q_density
 from peakonlab.energetics import check_conserved, energies
 from peakonlab.kernel import M, m, phi, phi_open_interval, phi_prime_open_interval
@@ -184,9 +184,11 @@ def _reference_stage(s, Z, pmv):
 
 
 def _warped_states():
-    """Two states on one cosine grid, with X warped away from s and J != 1."""
+    """Two states on one cosine grid and one on the benchmark's 512-node grid,
+    with X warped away from s and J != 1."""
     ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
-    return linear.exact_state(0.7, ic, 129), linear.exact_state(1.9, ic, 129)
+    return (linear.exact_state(0.7, ic, 129), linear.exact_state(1.9, ic, 129),
+            linear.exact_state(1.3, ic, 512))
 
 
 def test_stage_matches_the_unbuffered_formulas_bitwise():
@@ -201,7 +203,7 @@ def test_stage_matches_the_unbuffered_formulas_bitwise():
 def test_stage_results_are_not_reused_buffers():
     # the grid keeps the stage's temporaries between calls; results are new
     # arrays that later calls on other data leave alone
-    st1, st2 = _warped_states()
+    st1, st2, _ = _warped_states()
     grid, pmv = Grid(st1.s), math.pi * m * m * st1.vbar
     first, p_first = nonlinear._rhs(grid, st1.stack(), pmv)
     kept = first.copy()
@@ -216,12 +218,57 @@ def test_stage_results_are_not_reused_buffers():
 
 
 def test_node_convolutions_results_survive_a_second_call():
-    st1, st2 = _warped_states()
+    st1, st2, _ = _warped_states()
     Q1, P1 = node_convolutions(st1.s, st1.X, st1.V, st1.U, st1.J)
     kept = Q1.copy(), P1.copy()
     Q2, P2 = node_convolutions(st1.s, st2.X, st2.V, st2.U, st2.J)
     assert not np.array_equal(Q1, Q2) and not np.array_equal(P1, P2)
     assert np.array_equal(Q1, kept[0]) and np.array_equal(P1, kept[1])
+
+
+def test_grid_builds_one_workspace_at_its_first_stage(monkeypatch):
+    # the stage's arrays live on its grid, built once by the first stage; other
+    # grids, and the throwaway grids of energies, never share or build one
+    built = []
+
+    class Counted(convolution.StageWorkspace):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(convolution, "StageWorkspace", Counted)
+    st1, st2, _ = _warped_states()
+    energies(st1)
+    grid, pmv = Grid(st1.s), math.pi * m * m * st1.vbar
+    assert built == [] and grid.workspace is None
+    nonlinear._rhs(grid, st1.stack(), pmv)
+    ws = grid.workspace
+    nonlinear._rhs(grid, st2.stack(), pmv)
+    node_convolutions(grid, st1.X, st1.V, st1.U, st1.J)
+    assert built == [129] and grid.workspace is ws
+    other = Grid(st1.s)
+    nonlinear._rhs(other, st1.stack(), pmv)
+    assert built == [129, 129] and other.workspace is not ws
+    arrays = lambda w: [a for a in vars(w).values() if isinstance(a, np.ndarray)]
+    assert not any(np.shares_memory(a, b) for a in arrays(ws) for b in arrays(other.workspace))
+    energies(st2)
+    assert len(built) == 2
+
+
+def test_stages_on_alternating_grids_match_a_fresh_grid_bitwise():
+    # two grids of different n used in turn, directly and through the grid that
+    # as_grid keeps for nl_rhs's node arrays, give a fresh grid's results
+    ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
+    states = [linear.exact_state(t, ic, n) for t in (0.7, 1.9) for n in (129, 128)]
+    pmv = math.pi * m * m * ic.vbar
+    fresh = [nonlinear._rhs(Grid(st.s), st.stack(), pmv) for st in states]
+    grids = {len(st.s): Grid(st.s) for st in states}
+    for _ in range(2):
+        for st, (dZ, p0) in zip(states, fresh):
+            got, got_p0 = nonlinear._rhs(grids[len(st.s)], st.stack(), pmv)
+            assert np.array_equal(got, dZ) and got_p0 == p0
+            d = nl_rhs(st)
+            assert np.array_equal(np.stack([d.dX, d.dW, d.dV, d.dU, d.dJ]), dZ)
 
 
 def test_max_abs_slope_is_the_largest_slope_of_every_state():

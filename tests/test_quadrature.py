@@ -105,15 +105,6 @@ def test_cumulative_integral_sums_panels_left_to_right():
     assert np.array_equal(out, fd_derivative(grid, rows))
 
 
-def test_grid_keeps_one_buffer_per_name():
-    grid = Grid(_cosine_nodes(17))
-    table = grid.buffer("table", (2, 3))
-    assert table.shape == (2, 3, 17)
-    assert grid.buffer("table", (2, 3)) is table and grid.buffer("table") is table
-    assert not np.shares_memory(grid.buffer("row"), table)
-    assert Grid(grid.x).buffer("table", (2, 3)) is not table
-
-
 def test_node_array_grid_is_reused_by_value():
     x = _cosine_nodes(33)
     f = np.sin(2.0 * x)
