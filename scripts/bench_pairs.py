@@ -100,7 +100,8 @@ def summarize(pairs: list, better: dict, bounds: dict | None = None) -> dict:
                 "change_wins": wins, "pairs": len(group),
             }
             if bounds and name in bounds:
-                rows[name]["verdict"] = verdict(rows[name], sides["parent"], sides["change"], bounds[name])
+                rows[name]["verdict"] = verdict(rows[name], sides["parent"], sides["change"],
+                                                bounds[name])
         out.setdefault(workload, {})[f"trace{trace}"] = rows
     return out
 

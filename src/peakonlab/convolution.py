@@ -94,7 +94,7 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
 class StageWorkspace:
     """Every row of a nonlinear RK4 stage on n nodes (34 n floats) and every view it reads,
     built at a grid's first stage as ``grid.workspace``: then :func:`node_convolutions`, the
-    :mod:`.quadrature` sums, ``nonlinear._rhs`` and ``linear._linear_rhs`` only issue out= calls."""
+    :mod:`.quadrature` sums, ``nonlinear._rhs`` and ``linear._linear_rhs`` only make out= calls."""
 
     def __init__(self, n: int):
         self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
