@@ -24,9 +24,15 @@ and the sign of a sorts the families:
           -a < 4 c^3/27); smooth periodic orbits live inside the homoclinic
           loop around phi_2.
 
-Roots are located by a sign-change scan over [-max(10c, a/(121c^2)), c) and
-(c, 10c] followed by bisection: robust, deterministic, and degenerate
-(double-root) parameter choices are reported rather than silently misclassified.
+Each critical point is found by bisection on a bracket that follows from f
+itself, f(p) = p (c - p)^2 + a.  Since f'(p) = (c - p)(c - 3p), f(0) = f(c) = a
+and f(c/3) = f(4c/3) = 4c^3/27 + a, the three roots for a < 0 below the fold
+sit one each in [0, c/3], [c/3, c] and [c, 4c/3].  For a > 0 the root lies in
+[-min(a/c^2, a^(1/3)), 0], because (c - p)^2 >= max(c^2, p^2) for p < 0.  The
+bisection halves until the float midpoint equals an endpoint: no iteration cap
+and no absolute tolerance, so a tiny root keeps its relative accuracy.
+Parameters within a relative 1e-6 of the fold, and roots that round onto the
+singular level p = c, are reported rather than silently misclassified.
 """
 
 from __future__ import annotations
@@ -34,13 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernel import m, phi, phi_prime
 
 
 class ClassificationError(RuntimeError):
-    """Root finding failed or the parameters sit on a degenerate fold."""
+    """The parameters sit at or beyond the fold, or a root rounds onto phi = c."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,6 @@ class WaveFamily:
     """Classification record for one (a, c) parameter pair."""
 
     a: float
-    b: float | None
     c: float
     critical_points: tuple
     family: str  # "peaked" | "cusped" | "smooth_candidate"
@@ -69,72 +72,49 @@ class PeakedProfile:
 
 
 def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
+    """Sign change of f in [lo, hi], halved until the midpoint is an endpoint."""
+    rising = f(lo) < 0.0 or f(hi) > 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (f(mid) < 0.0) == rising:
+            lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _scan_roots(f, lo: float, hi: float):
-    xs = np.linspace(lo, hi, 4096)
-    vals = np.array([f(x) for x in xs])
-    roots = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            roots.append(xs[i])
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
-            roots.append(_bisect(f, xs[i], xs[i + 1]))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    return roots
+    return mid
 
 
 def classify(a: float, c: float) -> WaveFamily:
     """Sort (a, c) into the peaked / cusped / smooth-candidate trichotomy.
 
     Critical points are the real roots of phi (c - phi)^2 + a = 0 away from
-    the singular level phi = c.  Raises :class:`ClassificationError` when the
-    expected root count is not found (-a at or beyond the fold 4c^3/27);
-    never misclassifies silently.
+    the singular level phi = c.  Raises :class:`ClassificationError` when -a
+    is at or beyond the fold 4c^3/27, or a root rounds onto phi = c; never
+    misclassifies silently.  Non-finite input raises :class:`ValueError`.
     """
+    if not (math.isfinite(a) and math.isfinite(c)):
+        raise ValueError(f"a and c must be finite, got a={a}, c={c}")
     if c <= 0:
         raise ValueError("wave speed c must be positive")
     if a == 0.0:
-        return WaveFamily(a=0.0, b=None, c=c, critical_points=(0.0,), family="peaked")
+        return WaveFamily(a=0.0, c=c, critical_points=(0.0,), family="peaked")
 
     f = lambda p: p * (c - p) ** 2 + a
-    margin = 1e-9 * c
-    # for a > 0 the root r < 0 has |r| (c + |r|)^2 = a, so |r| <= max(10c, a/(121c^2))
-    below = _scan_roots(f, -max(10.0 * c, a / (121.0 * c * c)), c - margin)
-    above = _scan_roots(f, c + margin, 10.0 * c)
-
     if a > 0:
-        roots = [r for r in below if r < 0.0]
-        if len(roots) != 1 or above:
-            raise ClassificationError(
-                f"expected one negative critical point for a={a}, c={c}; "
-                f"found {len(roots)} below and {len(above)} above the singular level")
-        return WaveFamily(a=a, b=None, c=c, critical_points=(roots[0],), family="cusped")
+        root = _bisect(f, -min(a / c / c, a ** (1.0 / 3.0)), 0.0)
+        return WaveFamily(a=a, c=c, critical_points=(root,), family="cusped")
 
     fold = 4.0 * c ** 3 / 27.0
-    if len(below) != 2 or len(above) != 1:
-        if abs(-a - fold) <= 1e-6 * fold:
-            raise ClassificationError(
-                f"degenerate double root: -a is at the fold 4c^3/27 for a={a}, c={c}")
+    if abs(-a - fold) <= 1e-6 * fold:
+        raise ClassificationError(
+            f"degenerate double root: -a is at the fold 4c^3/27 for a={a}, c={c}")
+    if -a > fold:
         raise ClassificationError(
             f"expected critical points phi1 < phi2 < c < phi3 for a={a}, c={c} "
-            f"(requires -a < 4c^3/27 = {fold}); found {len(below)}+{len(above)}")
-    pts = tuple(sorted(below + above))
-    return WaveFamily(a=a, b=None, c=c, critical_points=pts, family="smooth_candidate")
+            f"(requires -a < 4c^3/27 = {fold})")
+    pts = (_bisect(f, 0.0, c / 3.0), _bisect(f, c / 3.0, c), _bisect(f, c, 4.0 * c / 3.0))
+    if c in pts:
+        raise ClassificationError(
+            f"a critical point rounds onto the singular level phi = c for a={a}, c={c}")
+    return WaveFamily(a=a, c=c, critical_points=pts, family="smooth_candidate")
 
 
 def peaked_member(m_phi: float):

@@ -294,10 +294,15 @@ def test_unwritable_output_dir_reported():
         run_scenario(config)
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # only the forecast and the reconstruction need it; every CLI path skips both
-    code = "import sys, peakonlab.cli; print('scipy.interpolate' in sys.modules)"
+def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # only the forecast and the reconstruction need it; every CLI path skips both,
+    # and a classify run loads no scipy module at all
+    out = str(tmp_path / "cl")
+    codes = ("import sys, peakonlab.cli; print('scipy.interpolate' in sys.modules)",
+             "import sys, peakonlab.cli as c; c.main(['classify', '--a', '-0.01', '--c', '1', "
+             f"'--out', {out!r}]); print(any(k.startswith('scipy') for k in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
-    assert proc.stdout.strip() == "False"
+    for code in codes:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "False"

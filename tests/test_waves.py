@@ -17,9 +17,11 @@ def test_classify_zero_constant_is_peaked():
 
 
 def test_classify_positive_constant_is_cusped():
-    # from a = 2000 on the negative root lies below -10c, where the scan
-    # must reach |r| (c + |r|)^2 = a
-    for a, c in ((0.1, 1.0), (2000.0, 1.0), (1e6, 1.0), (1e12, 0.5)):
+    # the bracket [-min(a/c^2, a^(1/3)), 0] holds from a tiny a, where
+    # r ~ -a/c^2, to a huge one or a tiny c, where r ~ -a^(1/3) and a/c^2
+    # may overflow
+    for a, c in ((0.1, 1.0), (2000.0, 1.0), (1e6, 1.0), (1e12, 0.5), (1e-20, 1.0),
+                 (1.0, 1e-170)):
         fam = classify(a, c)
         assert fam.family == "cusped"
         assert len(fam.critical_points) == 1
@@ -37,6 +39,28 @@ def test_classify_negative_constant_is_smooth_candidate():
     # phi (c - phi)^2 + a = phi^3 - 2 c phi^2 + c^2 phi + a
     roots = np.sort(np.roots([1.0, -2.0, 1.0, -0.01]))
     assert np.allclose(sorted(fam.critical_points), roots, atol=1e-9)
+
+
+def test_classify_tiny_negative_constant_keeps_relative_accuracy():
+    # p1 ~ -a/c^2 and p2, p3 ~ c -/+ sqrt(-a/c); an absolute tolerance or a
+    # sampled scan loses p1's sign or merges p2 and p3 into the singular level
+    c = 1.0
+    for a in (-1e-16, -1e-19):
+        fam = classify(a, c)
+        assert fam.family == "smooth_candidate"
+        p1, p2, p3 = fam.critical_points
+        assert p1 > 0.0
+        assert abs(p1 - (-a / c ** 2)) <= 1e-14 * (-a / c ** 2)
+        gap = math.sqrt(-a / c)
+        assert abs((c - p2) - gap) <= 1e-5 * gap
+        assert abs((p3 - c) - gap) <= 1e-5 * gap
+
+
+def test_classify_rejects_non_finite_parameters():
+    for a, c in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                 (-0.01, math.nan), (0.1, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            classify(a, c)
 
 
 def test_classify_respects_sign_trichotomy_randomized():
@@ -69,6 +93,8 @@ def test_degenerate_fold_is_flagged_not_misclassified():
         classify(-4.0 / 27.0, c)  # exactly on the fold: double root
     with pytest.raises(ClassificationError):
         classify(-1.0, c)  # beyond the fold: no smooth family
+    with pytest.raises(ClassificationError):
+        classify(-1e-40, c)  # p2 and p3 = c -/+ 1e-20 round onto the singular level
     with pytest.raises(ValueError):
         classify(0.1, -1.0)
 
