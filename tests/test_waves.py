@@ -42,8 +42,8 @@ def test_classify_negative_constant_is_smooth_candidate():
 
 
 def test_classify_tiny_negative_constant_keeps_relative_accuracy():
-    # p1 ~ -a/c^2 and p2, p3 ~ c -/+ sqrt(-a/c); an absolute tolerance or a
-    # sampled scan loses p1's sign or merges p2 and p3 into the singular level
+    # p1 ~ -a/c^2 must keep its sign and relative accuracy, and p2, p3 ~
+    # c -/+ sqrt(-a/c) must stay apart from the singular level
     c = 1.0
     for a in (-1e-16, -1e-19):
         fam = classify(a, c)
