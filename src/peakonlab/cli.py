@@ -32,7 +32,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ import numpy as np
 from . import energetics, linear, nonlinear, waves
 from .kernel import M, TWO_PI
 from .profiles import InitialCondition
+from .state import initial_state
 
 MODES = ("linear-exact", "linear-ode", "nonlinear", "energies", "classify")
 
@@ -257,6 +258,10 @@ def run_scenario(config: ScenarioConfig) -> int:
         return 0
 
     ic = config.initial_condition()
+    with np.errstate(all="ignore"):  # an overflow is reported below, as bad input
+        start = energetics.energies(initial_state(ic, config.n_chars))
+    if not all(map(math.isfinite, astuple(start))):
+        raise ConfigError(f"ic: t=0 energies not finite for {config.ic_spec!r}, bump {config.bump:g}")
     lines += [
         f"ic={config.ic_spec}",
         f"bump={_fmt(config.bump)}",

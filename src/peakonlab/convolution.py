@@ -93,8 +93,9 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
 
 class StageWorkspace:
     """Every row of a nonlinear RK4 stage on n nodes (34 n floats) and every view it reads,
-    built at a grid's first stage as ``grid.workspace``: then :func:`node_convolutions`, the
-    :mod:`.quadrature` sums, ``nonlinear._rhs`` and ``linear._linear_rhs`` only make out= calls."""
+    built at a grid's first stage as ``grid.workspace``: :func:`node_convolutions`,
+    ``nonlinear._rhs`` and ``linear._linear_rhs`` write into its rows with out= calls, and
+    the :mod:`.quadrature` sums they call write their results there and keep their own scratch."""
 
     def __init__(self, n: int):
         self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
@@ -111,10 +112,6 @@ class StageWorkspace:
         (self.low_c, self.low_s), (self.high_c, self.high_s) = run
         self.dZ, local = np.empty((5, n)), np.empty((3, n))  # dZ: the stage derivative
         self.dZ_rows, self.phis, (self.ph, self.php, self.tmp) = tuple(self.dZ), local[:2], local
-        g, gp, f, df = self.g, self.gp, self.f, self.df  # stencil, panels: scratch in free rows
-        self.fd_views = g[1:-1], g[:-2], g[2:], gp[1:-1], local[2, :-2], g[:3], g[-3:]
-        self.panel_views = (f[:, :-1], f[:, 1:], df[:, :-1], df[:, 1:],
-                            run[1, :, :-1], parts[1, :, :-1])  # sums in high, scratch in h g'
 
 
 def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndarray):

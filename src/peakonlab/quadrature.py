@@ -77,17 +77,11 @@ def fd_derivative(x, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     """
     grid = as_grid(x)
     (a, b, c), (a0, b0, c0), (a1, b1, c1) = grid.stencil
-    ws = grid.workspace
-    if ws is not None and f is ws.g and out is ws.gp:  # the stage's rows: bound views, no new array
-        mid, below, above, inner, tmp, head, tail = ws.fd_views
-        np.subtract(np.multiply(mid, b, out=inner), np.multiply(below, a, out=tmp), out=inner)
-        inner += np.multiply(above, c, out=tmp)
-        (f0, f1, f2), (e0, e1, e2) = head.tolist(), tail.tolist()  # Python floats
-        out[0], out[-1] = a0 * f0 + b0 * f1 + c0 * f2, a1 * e0 + b1 * e1 + c1 * e2
-        return out
     d = np.empty_like(f) if out is None else out
-    inner = np.subtract(b * f[..., 1:-1], a * f[..., :-2], out=d[..., 1:-1])
-    inner += c * f[..., 2:]
+    inner, tmp = d[..., 1:-1], np.empty(f[..., 2:].shape)
+    np.multiply(f[..., 1:-1], b, out=inner)
+    inner -= np.multiply(f[..., :-2], a, out=tmp)
+    inner += np.multiply(f[..., 2:], c, out=tmp)
     ft, dt = f.T, d.T  # ft[k]: node k of every row, a scalar for one row
     dt[0] = a0 * ft[0] + b0 * ft[1] + c0 * ft[2]
     dt[-1] = a1 * ft[-3] + b1 * ft[-2] + c1 * ft[-1]
@@ -97,29 +91,26 @@ def fd_derivative(x, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 def panel_integrals(grid: Grid, f: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
     """Per-panel Hermite integrals along the last axis; trapezoid without derivative."""
     half, dx2_12 = grid.panel
-    ws = grid.workspace
-    if ws is not None and f is ws.f and derivative is ws.df:  # summed in the workspace's rows
-        f_lo, f_hi, d_lo, d_hi, out, tmp = ws.panel_views
-        base = np.multiply(np.add(f_lo, f_hi, out=out), half, out=out)
-        return np.add(base, np.multiply(np.subtract(d_lo, d_hi, out=tmp), dx2_12, out=tmp), out=out)
-    base = half * (f[..., :-1] + f[..., 1:])
-    if derivative is None:
-        return base
-    return base + dx2_12 * (derivative[..., :-1] - derivative[..., 1:])
+    out = np.add(f[..., :-1], f[..., 1:])
+    out *= half
+    if derivative is not None:
+        tmp = np.subtract(derivative[..., :-1], derivative[..., 1:])
+        out += np.multiply(tmp, dx2_12, out=tmp)
+    return out
 
 
-def integrate_samples(x, f: np.ndarray, derivative: np.ndarray | None = None) -> float:
+def integrate_samples(x, f: np.ndarray) -> float:
     """Integrate samples f over the increasing nodes x (or their :class:`Grid`).
 
-    A missing ``derivative`` array is replaced by :func:`fd_derivative`,
-    which keeps the composite rule fourth order for smooth data and degrades
-    gracefully to second order across interior corners.
+    The derivative data come from :func:`fd_derivative`, which keeps the
+    composite rule fourth order for smooth data and degrades gracefully to
+    second order across interior corners.
     """
     grid = as_grid(x)
     f = np.asarray(f, dtype=float)
     if f.shape != grid.x.shape or len(f) < 2:
         raise ValueError("need samples at 2 or more nodes, one per node")
-    return float(cumulative_integral(grid, f, derivative)[-1])
+    return float(cumulative_integral(grid, f)[-1])
 
 
 def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None,

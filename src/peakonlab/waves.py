@@ -44,7 +44,7 @@ from .kernel import m, phi, phi_prime
 
 
 class ClassificationError(RuntimeError):
-    """The parameters sit at or beyond the fold, or a root rounds onto phi = c."""
+    """The parameters sit at or beyond the fold, a root rounds onto phi = c, or they overflow."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ def classify(a: float, c: float) -> WaveFamily:
 
     Critical points are the real roots of phi (c - phi)^2 + a = 0 away from
     the singular level phi = c.  Raises :class:`ClassificationError` when -a
-    is at or beyond the fold 4c^3/27, or a root rounds onto phi = c; never
-    misclassifies silently.  Non-finite input raises :class:`ValueError`.
+    is at or beyond the fold 4c^3/27, a root rounds onto phi = c, or the roots
+    or the fold overflow a float; never misclassifies silently.  Non-finite
+    input raises :class:`ValueError`.
     """
     if not (math.isfinite(a) and math.isfinite(c)):
         raise ValueError(f"a and c must be finite, got a={a}, c={c}")
@@ -98,11 +99,14 @@ def classify(a: float, c: float) -> WaveFamily:
         return WaveFamily(a=0.0, c=c, critical_points=(0.0,), family="peaked")
 
     f = lambda p: p * (c - p) ** 2 + a
-    if a > 0:
-        root = _bisect(f, -min(a / c / c, a ** (1.0 / 3.0)), 0.0)
-        return WaveFamily(a=a, c=c, critical_points=(root,), family="cusped")
-
-    fold = 4.0 * c ** 3 / 27.0
+    try:  # below the fold, the bisections of a < 0 stay within |f| <= fold
+        if a > 0:
+            root = _bisect(f, -min(a / c / c, a ** (1.0 / 3.0)), 0.0)
+            return WaveFamily(a=a, c=c, critical_points=(root,), family="cusped")
+        fold = 4.0 * c ** 3 / 27.0
+    except OverflowError:
+        raise ClassificationError(
+            f"the fold or a critical point overflows a float for a={a}, c={c}") from None
     if abs(-a - fold) <= 1e-6 * fold:
         raise ClassificationError(
             f"degenerate double root: -a is at the fold 4c^3/27 for a={a}, c={c}")

@@ -263,6 +263,10 @@ def test_usage_errors_exit_1_not_breaking_code(tmp_path):
     ["nonlinear", "--ic", "0.01*sin", "--t", "0.01", "--dt", "1e-3", "--threshold", "nan"],
     ["classify", "--a", "nan", "--c", "1"],
     ["classify", "--a", "0", "--c", "inf"],
+    ["classify", "--a", "-1", "--c", "1e103"],
+    ["classify", "--a", "1", "--c", "1e155"],
+    ["nonlinear", "--ic", "1e200*sin", "--t", "0,0.01", "--dt", "1e-3"],
+    ["linear-exact", "--ic", "1e300*sin", "--t", "0,1"],
 ])
 def test_non_finite_numbers_exit_1(tmp_path, args):
     out = tmp_path / "nf"

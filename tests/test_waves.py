@@ -95,6 +95,10 @@ def test_degenerate_fold_is_flagged_not_misclassified():
         classify(-1.0, c)  # beyond the fold: no smooth family
     with pytest.raises(ClassificationError):
         classify(-1e-40, c)  # p2 and p3 = c -/+ 1e-20 round onto the singular level
+    with pytest.raises(ClassificationError, match="overflow"):
+        classify(-1.0, 1e103)  # the fold 4c^3/27 overflows a float
+    with pytest.raises(ClassificationError, match="overflow"):
+        classify(1.0, 1e155)  # (c - p)^2 overflows inside the bisection
     with pytest.raises(ValueError):
         classify(0.1, -1.0)
 
