@@ -182,13 +182,20 @@ def write_state_csv(path: Path, state) -> None:
 
     The block shifted by -2*pi comes first, then the fundamental block, so
     the X column sweeps [-2*pi, 2*pi] for direct plotting.  The + 0.0 of the
-    fundamental block prints a -0.0 position as 0.
+    fundamental block prints a -0.0 position as 0.  V, U and W are the same
+    in both blocks, so they are formatted once and shared; the file holds
+    the bytes np.savetxt(fmt="%.17g", delimiter=",") writes for these rows.
     """
-    rows = np.concatenate([np.column_stack((state.s + shift, state.X + shift,
-                                            state.V, state.U, state.W))
-                           for shift in (-TWO_PI, 0.0)])
+    n = len(state.s)  # one %-format per column group; "%.17g" never prints a line break
+    vuw = ("%.17g,%.17g,%.17g\n" * n % tuple(
+        np.column_stack((state.V, state.U, state.W)).ravel().tolist())).splitlines(keepends=True)
+    parts = ["s,X,V,U,W\n"]
+    for shift in (-TWO_PI, 0.0):
+        sx = ("%.17g,%.17g,\n" * n % tuple(
+            np.column_stack((state.s + shift, state.X + shift)).ravel().tolist())).splitlines()
+        parts += map(str.__add__, sx, vuw)
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header="s,X,V,U,W", comments="")
+        fh.write("".join(parts))
 
 
 def read_state_csv(path):
@@ -272,7 +279,12 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     exit_code = 0
     if config.mode == "linear-exact":
-        states = [linear.exact_state(t, ic, config.n_chars) for t in config.t_samples]
+        with np.errstate(all="ignore"):  # a non-finite sample is reported below, as an error
+            states = [linear.exact_state(t, ic, config.n_chars) for t in config.t_samples]
+        for last, state in zip((0.0, *config.t_samples), states):
+            if not np.isfinite(state.stack()).all():
+                raise linear.IntegrationError(f"closed-form state not finite at t={state.t:g}",
+                                              last_valid_time=last)
     elif config.mode in ("linear-ode", "energies"):
         traj = linear.integrate_linear(ic, config.t_samples[-1], dt=config.dt,
                                        n_chars=config.n_chars,

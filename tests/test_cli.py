@@ -1,5 +1,6 @@
 """Command-line harness: config parsing, outputs, determinism, exit codes."""
 
+import io
 import math
 import os
 import re
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
-from peakonlab import cli
+from peakonlab import cli, linear, nonlinear
 from peakonlab.cli import (ConfigError, ScenarioConfig, main, parse_config_file,
                            parse_ic_spec, read_state_csv, run_scenario)
 from peakonlab.kernel import M
@@ -241,6 +243,18 @@ def test_non_finite_linear_run_reported_as_error(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_non_finite_closed_form_reported_as_error(tmp_path, capsys):
+    # e^t overflows the closed form between t = 354 and 355; the first such sample
+    # is an error naming its time, and nothing is written
+    code = main(["linear-exact", "--ic", "sin", "--t", "0,800", "--nchars", "16",
+                 "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "t=800" in err
+    assert not (tmp_path / "e").exists()
+
+
 def test_usage_errors_exit_1_not_breaking_code(tmp_path):
     # exit code 2 is reserved for detected wave breaking
     out = str(tmp_path / "u")
@@ -290,6 +304,70 @@ def test_write_state_csv_byte_format(tmp_path):
         for shift in (-TWO_PI, 0.0) for i in range(len(st.s)))
     assert path.read_bytes() == expected.encode()
     assert path.read_text().splitlines()[6].startswith("0,0,-0,1e+308,")
+
+
+def _savetxt_bytes(s, X, V, U, W) -> bytes:
+    """The oracle: np.savetxt of the stacked rows, both periodic blocks."""
+    rows = np.concatenate([np.column_stack((s + shift, X + shift, V, U, W))
+                           for shift in (-TWO_PI, 0.0)])
+    buf = io.StringIO()
+    np.savetxt(buf, rows, fmt="%.17g", delimiter=",", header="s,X,V,U,W", comments="")
+    return buf.getvalue().encode()
+
+
+def _state_of(columns) -> CharacteristicState:
+    s, X, V, U, W = columns
+    return CharacteristicState(t=0.0, s=s, X=X, V=V, U=U, W=W, J=np.ones(len(s)), vbar=0.0)
+
+
+_SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+            1e308, -1e308, 1.7976931348623157e308, 1.0 / 3.0, -TWO_PI]
+_DOUBLE = hst.one_of(hst.sampled_from(_SPECIAL), hst.floats(width=64))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(hst.integers(min_value=1, max_value=300).flatmap(
+    lambda n: hst.tuples(*[arrays(np.float64, n, elements=_DOUBLE)] * 5)))
+@example(tuple(np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308])
+               for _ in range(5)))
+def test_write_state_csv_matches_savetxt(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("csv") / "state.csv"
+    cli.write_state_csv(path, _state_of(columns))
+    assert path.read_bytes() == _savetxt_bytes(*columns)
+
+
+def test_write_state_csv_matches_savetxt_n4096(tmp_path):
+    rng = np.random.default_rng(7)
+    columns = []
+    for k in range(5):
+        col = rng.integers(0, 2 ** 64, 4096, dtype=np.uint64).view(np.float64)  # any bits
+        if k < 2:  # s and X take + shift, which warns on a signaling NaN
+            col[np.isnan(col)] = math.nan
+        col[rng.integers(0, 4096, 64)] = rng.choice(_SPECIAL, 64)
+        columns.append(col)
+    path = tmp_path / "state.csv"
+    cli.write_state_csv(path, _state_of(columns))
+    assert path.read_bytes() == _savetxt_bytes(*columns)
+
+
+@pytest.mark.parametrize("mode", ["linear-exact", "linear-ode", "nonlinear"])
+def test_run_scenario_csvs_match_savetxt_of_library_states(tmp_path, mode):
+    config = ScenarioConfig(mode=mode, ic_spec="0.01*sin+0.005*cos2", t_samples=(0.0, 0.05, 0.1),
+                            dt=0.01, n_chars=32, out_dir=str(tmp_path / mode))
+    assert run_scenario(config) == 0
+    ic = config.initial_condition()
+    if mode == "linear-exact":
+        states = [linear.exact_state(t, ic, 32) for t in config.t_samples]
+    elif mode == "linear-ode":
+        states = linear.integrate_linear(ic, 0.1, dt=0.01, n_chars=32,
+                                         save_times=config.t_samples).states
+    else:
+        states = nonlinear.integrate_nonlinear(ic, 0.1, dt=0.01, n_chars=32,
+                                               save_times=config.t_samples)[0].states
+    assert len(states) == 3
+    for i, st in enumerate(states):
+        written = (tmp_path / mode / f"state_{i:02d}.csv").read_bytes()
+        assert written == _savetxt_bytes(st.s, st.X, st.V, st.U, st.W)
 
 
 def test_unwritable_output_dir_reported():
