@@ -306,9 +306,9 @@ def test_write_state_csv_byte_format(tmp_path):
     assert path.read_text().splitlines()[6].startswith("0,0,-0,1e+308,")
 
 
-def _savetxt_bytes(s, X, V, U, W) -> bytes:
+def _savetxt_bytes(st) -> bytes:
     """The oracle: np.savetxt of the stacked rows, both periodic blocks."""
-    rows = np.concatenate([np.column_stack((s + shift, X + shift, V, U, W))
+    rows = np.concatenate([np.column_stack((st.s + shift, st.X + shift, st.V, st.U, st.W))
                            for shift in (-TWO_PI, 0.0)])
     buf = io.StringIO()
     np.savetxt(buf, rows, fmt="%.17g", delimiter=",", header="s,X,V,U,W", comments="")
@@ -316,7 +316,9 @@ def _savetxt_bytes(s, X, V, U, W) -> bytes:
 
 
 def _state_of(columns) -> CharacteristicState:
-    s, X, V, U, W = columns
+    s, X, V, U, W = (np.array(c, dtype=float) for c in columns)
+    for c in (s, X):  # s and X take + shift, which warns on a signaling NaN
+        c[np.isnan(c)] = math.nan
     return CharacteristicState(t=0.0, s=s, X=X, V=V, U=U, W=W, J=np.ones(len(s)), vbar=0.0)
 
 
@@ -331,23 +333,21 @@ _DOUBLE = hst.one_of(hst.sampled_from(_SPECIAL), hst.floats(width=64))
 @example(tuple(np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308])
                for _ in range(5)))
 def test_write_state_csv_matches_savetxt(tmp_path_factory, columns):
-    path = tmp_path_factory.mktemp("csv") / "state.csv"
-    cli.write_state_csv(path, _state_of(columns))
-    assert path.read_bytes() == _savetxt_bytes(*columns)
+    path, st = tmp_path_factory.mktemp("csv") / "state.csv", _state_of(columns)
+    cli.write_state_csv(path, st)
+    assert path.read_bytes() == _savetxt_bytes(st)
 
 
 def test_write_state_csv_matches_savetxt_n4096(tmp_path):
     rng = np.random.default_rng(7)
     columns = []
-    for k in range(5):
+    for _ in range(5):
         col = rng.integers(0, 2 ** 64, 4096, dtype=np.uint64).view(np.float64)  # any bits
-        if k < 2:  # s and X take + shift, which warns on a signaling NaN
-            col[np.isnan(col)] = math.nan
         col[rng.integers(0, 4096, 64)] = rng.choice(_SPECIAL, 64)
         columns.append(col)
-    path = tmp_path / "state.csv"
-    cli.write_state_csv(path, _state_of(columns))
-    assert path.read_bytes() == _savetxt_bytes(*columns)
+    path, st = tmp_path / "state.csv", _state_of(columns)
+    cli.write_state_csv(path, st)
+    assert path.read_bytes() == _savetxt_bytes(st)
 
 
 @pytest.mark.parametrize("mode", ["linear-exact", "linear-ode", "nonlinear"])
@@ -367,7 +367,7 @@ def test_run_scenario_csvs_match_savetxt_of_library_states(tmp_path, mode):
     assert len(states) == 3
     for i, st in enumerate(states):
         written = (tmp_path / mode / f"state_{i:02d}.csv").read_bytes()
-        assert written == _savetxt_bytes(st.s, st.X, st.V, st.U, st.W)
+        assert written == _savetxt_bytes(st)
 
 
 def test_unwritable_output_dir_reported():
