@@ -27,6 +27,11 @@ first of these that holds:
 * ``gain``: the change wins at least 9 of every 10 pairs and its median is
   better than the parent's by more than the parent's q3 - q1;
 * ``no worse``.
+
+Each workload and trace setting also gets an ``outputs`` entry from the
+sha256 digests of the runs' output trees (bench/_work/<workload>/result.json):
+``identical`` when every parent and change run has the same digest,
+``differ`` otherwise, and ``unknown`` when a run has no digest.
 """
 
 from __future__ import annotations
@@ -51,8 +56,19 @@ def run_bench(tree: Path, workload: str, trace: int) -> dict:
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("env: "):
         raise RuntimeError(f"{tree}: {' '.join(cmd)} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
+    runs = json.loads((tree / "bench" / "_work" / workload / "result.json").read_text())["runs"]
     return {"started": started, "env": json.loads(lines[-2][len("env: "):]),
-            "result": json.loads(lines[-1])}
+            "result": json.loads(lines[-1]),
+            "digests": list(dict.fromkeys(run.get("digest") for run in runs))}
+
+
+def outputs(group: list) -> str:
+    """Whether every run of both sides wrote the same output tree (module docstring)."""
+    digests = [d for p in group for side in ("parent", "change")
+               for d in p["runs"][side].get("digests", [None])]
+    if None in digests:
+        return "unknown"
+    return "identical" if len(set(digests)) == 1 else "differ"
 
 
 def quartiles(values: list) -> dict:
@@ -78,8 +94,8 @@ def verdict(row: dict, parent: list, change: list, bound: float) -> str:
 
 
 def summarize(pairs: list, better: dict, bounds: dict | None = None) -> dict:
-    """{workload: {"trace<T>": {metric: summary}}} over the recorded pairs; the
-    metrics with a bound (the end-to-end ones) also get a verdict."""
+    """{workload: {"trace<T>": {metric: summary, "outputs": ...}}} over the recorded
+    pairs; the metrics with a bound (the end-to-end ones) also get a verdict."""
     groups: dict = {}
     for pair in pairs:
         groups.setdefault((pair["workload"], pair["trace"]), []).append(pair)
@@ -102,7 +118,7 @@ def summarize(pairs: list, better: dict, bounds: dict | None = None) -> dict:
             if bounds and name in bounds:
                 rows[name]["verdict"] = verdict(rows[name], sides["parent"], sides["change"],
                                                 bounds[name])
-        out.setdefault(workload, {})[f"trace{trace}"] = rows
+        out.setdefault(workload, {})[f"trace{trace}"] = {**rows, "outputs": outputs(group)}
     return out
 
 

@@ -93,9 +93,9 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
 
 class StageWorkspace:
     """Every row of a nonlinear RK4 stage on n nodes (34 n floats) and every view it reads,
-    built at a grid's first stage as ``grid.workspace``: :func:`node_convolutions`,
-    ``nonlinear._rhs`` and ``linear._linear_rhs`` write into its rows with out= calls, and
-    the :mod:`.quadrature` sums they call write their results there and keep their own scratch."""
+    built at a grid's first stage as ``grid.workspace``: :func:`node_convolutions` fills its
+    table and density rows (the :mod:`.quadrature` sums it calls write there and keep their
+    own scratch), and ``nonlinear._rhs`` reads them and writes the stage derivative ``dZ``."""
 
     def __init__(self, n: int):
         self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
@@ -125,8 +125,8 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     panel-split rule of :func:`conv_q`/:func:`conv_p`, at O(n) instead of
     O(n^2).  The nonlinear integrator calls it every stage with s as its
     :class:`.quadrature.Grid`.  Its temporaries are the fields of that grid's
-    :class:`StageWorkspace`; the caller may read the table ``h``, ``lo``, ``hi``
-    (cosh and sinh of X, X - pi, pi + X) and the rows ``vv`` = V^2, ``half_uu`` = U^2/2.
+    :class:`StageWorkspace`, which it fills; ``nonlinear._rhs`` reads the table ``h``,
+    ``lo``, ``hi`` (cosh, sinh of X, X - pi, pi + X) and ``vv`` = V^2, ``half_uu`` = U^2/2.
     """
     grid = as_grid(s)
     ws = grid.workspace

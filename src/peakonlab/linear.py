@@ -160,31 +160,20 @@ class LinearTrajectory:
     states: list
 
 
-def _linear_rhs(Z: np.ndarray, pmv: float, ws=None) -> np.ndarray:
-    """Local terms of the characteristic system for stacked Z = (X, W, V, U, J).
-
-    Without ``ws`` these are the whole linearized vector field.  The nonlinear stage
-    passes its :class:`.convolution.StageWorkspace`: its table gives phi, phi', cosh X and
-    sinh X, its dZ takes the terms, dJ/dt = (phi'(X) + U) J, and the stage zeroes dX's ends.
-    """
+def _linear_rhs(Z: np.ndarray, pmv: float) -> np.ndarray:
+    """The linearized vector field for stacked Z = (X, W, V, U, J), as a new array."""
     X, W, V, U, J = Z[0], Z[1], Z[2], Z[3], Z[4]  # indexing: iterating over Z is slower
-    if ws is None:  # phi' is one-sided at the fixed endpoints
-        ph, php, tmp = phi_open_interval(X), phi_prime_open_interval(X), np.empty_like(X)
-        coshX, sinhX, stretch, dZ = np.cosh(X), np.sinh(X), 0.0, np.empty_like(Z)
-        dX, dW, dV, dU, dJ = dZ[0], dZ[1], dZ[2], dZ[3], dZ[4]
-    else:
-        np.multiply(ws.lo, m, out=ws.phis)
-        ph, php, tmp, coshX, sinhX, stretch = ws.ph, ws.php, ws.tmp, ws.coshX, ws.sinhX, U
-        dZ, (dX, dW, dV, dU, dJ) = ws.dZ, ws.dZ_rows
+    ph, php = phi_open_interval(X), phi_prime_open_interval(X)  # phi' one-sided at the ends
+    coshX, sinhX, tmp, dZ = np.cosh(X), np.sinh(X), np.empty_like(X), np.empty_like(Z)
+    dX, dW, dV, dU, dJ = dZ[0], dZ[1], dZ[2], dZ[3], dZ[4]
     np.subtract(ph, M, out=dX)
     np.add(np.multiply(php, W, out=dW),
            np.multiply(np.subtract(1.0, coshX, out=tmp), pmv, out=tmp), out=dW)
     np.subtract(np.multiply(ph, W, out=dV), np.multiply(sinhX, pmv, out=tmp), out=dV)
     np.add(np.multiply(np.subtract(W, U, out=dU), php, out=dU), np.multiply(ph, V, out=tmp), out=dU)
     dU -= np.multiply(coshX, pmv, out=tmp)
-    np.multiply(np.add(php, stretch, out=dJ), J, out=dJ)
-    if ws is None:
-        dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
+    np.multiply(php, J, out=dJ)
+    dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
     return dZ
 
 

@@ -42,7 +42,6 @@ import numpy as np
 
 from .convolution import node_convolutions
 from .kernel import M, TWO_PI, m, phi
-from .linear import _linear_rhs
 from .profiles import InitialCondition
 from .quadrature import Grid, as_grid
 from .state import CharacteristicState, initial_state, march, save_steps
@@ -93,16 +92,23 @@ def _peak_forcing(v_peak, p0, pmv: float):
 def _rhs(s, Z: np.ndarray, pmv: float):
     """Stage derivative for stacked Z = (X, W, V, U, J) on the grid s; returns (dZ, P0)."""
     grid = as_grid(s)
-    X, V, U, J = Z[0], Z[2], Z[3], Z[4]  # indexing: iterating over Z is slower
+    X, W, V, U, J = Z[0], Z[1], Z[2], Z[3], Z[4]  # indexing: iterating over Z is slower
     Q, P = node_convolutions(grid, X, V, U, J)  # fills the grid's workspace, read below
     ws, v0, p0 = grid.workspace, V.item(0), P.item(0)
-    _linear_rhs(Z, pmv, ws)  # into ws.dZ, completed in place below
-    dX, dW, dV, dU, _ = ws.dZ_rows
-    np.subtract(np.add(dX, V, out=dX), v0, out=dX)
-    dW += np.multiply(np.subtract(ws.vv, v0 * v0, out=ws.tmp), 0.5, out=ws.tmp)
+    ph, php, tmp, coshX, sinhX = ws.ph, ws.php, ws.tmp, ws.coshX, ws.sinhX
+    dX, dW, dV, dU, dJ = ws.dZ_rows
+    np.multiply(ws.lo, m, out=ws.phis)  # phi, phi' = m (cosh, sinh)(X - pi), from the table
+    np.subtract(np.add(np.subtract(ph, M, out=dX), V, out=dX), v0, out=dX)
+    np.add(np.multiply(php, W, out=dW),
+           np.multiply(np.subtract(1.0, coshX, out=tmp), pmv, out=tmp), out=dW)
+    dW += np.multiply(np.subtract(ws.vv, v0 * v0, out=tmp), 0.5, out=tmp)
     np.add(np.subtract(dW, P, out=dW), p0, out=dW)
+    np.subtract(np.multiply(ph, W, out=dV), np.multiply(sinhX, pmv, out=tmp), out=dV)
     dV -= Q
+    np.add(np.multiply(np.subtract(W, U, out=dU), php, out=dU), np.multiply(ph, V, out=tmp), out=dU)
+    dU -= np.multiply(coshX, pmv, out=tmp)
     np.subtract(np.add(np.subtract(dU, ws.half_uu, out=dU), ws.vv, out=dU), P, out=dU)
+    np.multiply(np.add(php, U, out=dJ), J, out=dJ)
     dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
     return ws.dZ.copy(), p0
 

@@ -72,3 +72,20 @@ def test_verdict_unresolved_when_the_parent_spreads_beyond_the_bound():
 
 def test_verdict_no_worse_for_a_flat_change():
     assert _verdict(PARENT, PARENT[::-1]) == "no worse"
+
+
+def _outputs(parent_digests, change_digests):
+    pairs = [_pair(k, {"run_s": 1.0}, {"run_s": 1.0}) for k in range(len(parent_digests))]
+    for pair, parent, change in zip(pairs, parent_digests, change_digests):
+        for side, digests in (("parent", parent), ("change", change)):
+            if digests is not None:
+                pair["runs"][side]["digests"] = digests
+    return _summarize()(pairs, {"run_s": "lower"})["w"]["trace0"]["outputs"]
+
+
+def test_outputs_identical_only_when_every_run_of_both_sides_has_one_digest():
+    assert _outputs([["a"], ["a"]], [["a"], ["a"]]) == "identical"
+    assert _outputs([["a"], ["a"]], [["a"], ["b"]]) == "differ"
+    assert _outputs([["a", "b"]], [["a"]]) == "differ"  # the parent's own runs differ
+    assert _outputs([["a"], ["a"]], [["a"], [None]]) == "unknown"  # a run without a digest
+    assert _outputs([["a"]], [None]) == "unknown"  # a pair recorded without digests

@@ -91,6 +91,9 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     cfg.write_text("dt == 0.1\n")
     with pytest.raises(ConfigError, match="bad.cfg:1"):
         parse_config_file(str(cfg))
+    cfg.write_text("ic = sin\nt = 0,1,\n")
+    with pytest.raises(ConfigError, match="bad.cfg:2: bad value for 't'"):
+        parse_config_file(str(cfg))
 
 
 def test_config_file_mode_must_match_command(tmp_path):
@@ -255,12 +258,28 @@ def test_non_finite_closed_form_reported_as_error(tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["linear-exact", "--t", "0,354"],
+    ["linear-ode", "--t", "354", "--dt", "0.5"],
+])
+def test_non_finite_energies_reported_as_error(tmp_path, capsys, args):
+    # the state at t = 354 is finite, but (V^2 + U^2) J overflows in its energies;
+    # that is an error naming the time, with no warning and nothing written
+    code = main(args + ["--ic", "100*cos", "--nchars", "16", "--out", str(tmp_path / "f")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: energies not finite at t=354\n"
+    assert not (tmp_path / "f").exists()
+
+
 def test_usage_errors_exit_1_not_breaking_code(tmp_path):
     # exit code 2 is reserved for detected wave breaking
     out = str(tmp_path / "u")
     assert main(["nonlinear", "--dt", "abc", "--out", out]) == 1
     assert main(["nonlinear", "--no-such-flag", "--out", out]) == 1
     assert main(["no-such-mode"]) == 1
+    for times in ("0,,1", ",0.5", "0,1,"):  # an empty sample time is not skipped
+        assert main(["linear-exact", "--t", times, "--out", out]) == 1
     assert not (tmp_path / "u").exists()
     with pytest.raises(SystemExit) as exc:
         main(["nonlinear", "--help"])

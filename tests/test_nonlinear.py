@@ -67,6 +67,20 @@ def test_rhs_quadratic_remainder_against_linearization():
     assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.2)
 
 
+def test_rhs_local_terms_match_the_linearized_field_bitwise():
+    # with V = U = 0 every nonlinear term vanishes, so the stage's own copy of the
+    # local terms must give the linearized field bit for bit
+    from peakonlab.linear import _linear_rhs
+
+    ic = InitialCondition(cosine_coeffs=(0.3, 0.1), sine_coeffs=(0.2,), constant=0.1)
+    pmv = math.pi * m * m * ic.vbar
+    assert pmv != 0.0
+    for t in (0.0, 0.7, 3.0):
+        st = linear.exact_state(t, ic, 129)
+        Z = np.stack([st.X, st.W, np.zeros_like(st.V), np.zeros_like(st.U), st.J])
+        assert np.array_equal(nonlinear._rhs(Grid(st.s), Z, pmv)[0], _linear_rhs(Z, pmv))
+
+
 # ------------------------------------------------------------ integration
 
 def test_zero_profile_integrates_along_exact_characteristics():
