@@ -29,10 +29,12 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
 from dataclasses import astuple, dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -177,23 +179,36 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+@functools.lru_cache(maxsize=1)
+def _s_cells(s_bytes: bytes) -> tuple:
+    """The "%.17g," cells of s - 2*pi and of s + 0.0 for the float64 grid s_bytes.
+
+    The states of a run share one grid, so the last grid's cells are kept.  The
+    key is the exact bytes, so -0.0 and 0.0, NaN payloads and a grid changed in
+    place each get their own cells.
+    """
+    s = np.frombuffer(s_bytes)
+    return tuple(tuple("%.17g," % x for x in (s + shift).tolist()) for shift in (-TWO_PI, 0.0))
+
+
 def write_state_csv(path: Path, state) -> None:
     """One CSV per time sample, fundamental data extended periodically.
 
     The block shifted by -2*pi comes first, then the fundamental block, so
     the X column sweeps [-2*pi, 2*pi] for direct plotting.  The + 0.0 of the
     fundamental block prints a -0.0 position as 0.  V, U and W are the same
-    in both blocks, so they are formatted once and shared; the file holds
-    the bytes np.savetxt(fmt="%.17g", delimiter=",") writes for these rows.
+    in both blocks, so they are formatted once and shared, and the s cells
+    come from the grid's cache; the file holds the bytes
+    np.savetxt(fmt="%.17g", delimiter=",") writes for these rows.
     """
-    n = len(state.s)  # one %-format per column group; "%.17g" never prints a line break
+    n = len(state.s)  # "%.17g" never prints a line break
     vuw = ("%.17g,%.17g,%.17g\n" * n % tuple(
         np.column_stack((state.V, state.U, state.W)).ravel().tolist())).splitlines(keepends=True)
+    s_cells = _s_cells(np.ascontiguousarray(state.s, dtype=float).tobytes())
     parts = ["s,X,V,U,W\n"]
-    for shift in (-TWO_PI, 0.0):
-        sx = ("%.17g,%.17g,\n" * n % tuple(
-            np.column_stack((state.s + shift, state.X + shift)).ravel().tolist())).splitlines()
-        parts += map(str.__add__, sx, vuw)
+    for cells, shift in zip(s_cells, (-TWO_PI, 0.0)):
+        parts.append(("%s%.17g,%s" * n) % tuple(
+            chain.from_iterable(zip(cells, (state.X + shift).tolist(), vuw))))
     with open(path, "w", newline="\n") as fh:
         fh.write("".join(parts))
 
@@ -236,6 +251,11 @@ def _drift_lines(reports) -> list:
     return lines
 
 
+def _report_values(report) -> tuple:
+    """A report's fields and both combinations: the numbers that must be finite."""
+    return (*astuple(report), report.combo_linear, report.combo_nonlinear)
+
+
 def _output_dir(path: str) -> Path:
     out = Path(path)
     try:
@@ -260,14 +280,14 @@ def run_scenario(config: ScenarioConfig) -> int:
         lines += [f"a={_fmt(fam.a)}", f"c={_fmt(fam.c)}",
                   f"family={fam.family}", f"critical_points={pts}"]
         out = _output_dir(config.out_dir)
-        (out / "summary.txt").write_text("\n".join(lines) + "\n")
+        (out / "summary.txt").write_text("\n".join(lines) + "\n", newline="\n")
         print(f"a={_fmt(config.a)} c={_fmt(config.c)} -> {fam.family}")
         return 0
 
     ic = config.initial_condition()
     with np.errstate(all="ignore"):  # an overflow is reported below, as bad input
         start = energetics.energies(initial_state(ic, config.n_chars))
-    if not all(map(math.isfinite, astuple(start))):
+    if not all(map(math.isfinite, _report_values(start))):
         raise ConfigError(f"ic: t=0 energies not finite for {config.ic_spec!r}, bump {config.bump:g}")
     lines += [
         f"ic={config.ic_spec}",
@@ -307,15 +327,13 @@ def run_scenario(config: ScenarioConfig) -> int:
         with np.errstate(all="ignore"):  # the first non-finite sample is reported below
             reports = [energetics.energies(state) for state in states]
         for last, state, report in zip((0.0, *config.t_samples), states, reports):
-            for what, xs in (("closed-form state", state.stack()), ("energies", astuple(report))):
+            for what, xs in (("closed-form state", state.stack()),
+                             ("energies", _report_values(report))):
                 if not np.isfinite(xs).all():
                     raise linear.IntegrationError(f"{what} not finite at t={state.t:g}", last)
 
-    out = _output_dir(config.out_dir)
-    for i, state in enumerate(states):
-        csv_name = f"state_{i:02d}.csv"
-        write_state_csv(out / csv_name, state)
-        lines.append(f"csv_{i:02d}={csv_name}")
+    csv_names = [f"state_{i:02d}.csv" for i in range(len(states))]
+    lines += [f"csv_{i:02d}={name}" for i, name in enumerate(csv_names)]
     for i, (state, report) in enumerate(zip(states, reports)):
         lines += _summary_lines_for_state(i, state, report)
     if reports:
@@ -331,7 +349,10 @@ def run_scenario(config: ScenarioConfig) -> int:
             lines.append(f"t{i}_E_pred={_fmt(pred)}")
             lines.append(f"t{i}_E_rel_err={_fmt(rel)}")
 
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    out = _output_dir(config.out_dir)  # only now: a run that fails above leaves nothing
+    for name, state in zip(csv_names, states):
+        write_state_csv(out / name, state)
+    (out / "summary.txt").write_text("\n".join(lines) + "\n", newline="\n")
     print(f"{config.mode}: wrote {len(states)} sample(s) to {out}")
     if exit_code == 2:
         print("wave breaking detected; see summary.txt")

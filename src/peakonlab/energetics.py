@@ -70,10 +70,14 @@ class EnergyReport:
 
     @property
     def combo_nonlinear(self) -> float:
-        """Quartic conserved combination of the nonlinear flow."""
+        """Quartic conserved combination of the nonlinear flow (inf once E(v)^2 overflows)."""
+        try:
+            square = self.E_v ** 2
+        except OverflowError:  # float ** raises where float * gives inf
+            square = math.inf
         return (2.0 * self.P - M * self.E_v
                 - 0.25 * (self.E_u - E_PHI) * self.E_v
-                + 0.125 * self.E_v ** 2 + self.F_v)
+                + 0.125 * square + self.F_v)
 
 
 def energies(state: CharacteristicState) -> EnergyReport:

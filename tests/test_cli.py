@@ -272,6 +272,24 @@ def test_non_finite_energies_reported_as_error(tmp_path, capsys, args):
     assert not (tmp_path / "f").exists()
 
 
+_T0_OVERFLOW = "error: ic: t=0 energies not finite for '1e100*cos', bump 0\n"
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["linear-exact", "--ic", "1e100*cos", "--t", "0"], _T0_OVERFLOW),
+    (["nonlinear", "--ic", "1e100*cos", "--t", "0"], _T0_OVERFLOW),
+    (["energies", "--ic", "1e100*cos", "--t", "0"], _T0_OVERFLOW),
+    (["linear-exact", "--ic", "1e70*sin", "--t", "0,60"], "error: energies not finite at t=60\n"),
+], ids=["linear-exact", "nonlinear", "energies", "linear-exact-t60"])
+def test_overflowing_combination_reported_as_error(tmp_path, capsys, args, expected):
+    # every report field is finite, but E(v)^2 in combo_nonlinear overflows; that is
+    # an error naming the time, with no traceback and no directory
+    code = main(args + ["--nchars", "16", "--out", str(tmp_path / "g")])
+    assert code == 1
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "g").exists()
+
+
 def test_usage_errors_exit_1_not_breaking_code(tmp_path):
     # exit code 2 is reserved for detected wave breaking
     out = str(tmp_path / "u")
@@ -367,6 +385,36 @@ def test_write_state_csv_matches_savetxt_n4096(tmp_path):
     path, st = tmp_path / "state.csv", _state_of(columns)
     cli.write_state_csv(path, st)
     assert path.read_bytes() == _savetxt_bytes(st)
+
+
+def _grid_state(s) -> CharacteristicState:
+    rng = np.random.default_rng(len(s))
+    X, V, U, W = rng.standard_normal((4, len(s)))
+    return CharacteristicState(t=0.0, s=s, X=X, V=V, U=U, W=W, J=np.ones(len(s)), vbar=0.0)
+
+
+def test_write_state_csv_s_cache_follows_the_grid(tmp_path):
+    # the cached s cells must never leak from one grid into another's file
+    path = tmp_path / "state.csv"
+
+    def write_and_check(st):
+        cli.write_state_csv(path, st)
+        assert path.read_bytes() == _savetxt_bytes(st)
+        assert cli._s_cells.cache_info().currsize <= 1
+
+    a = np.sort(np.random.default_rng(3).uniform(0.0, TWO_PI, 4096))
+    a_ulp = a.copy()
+    a_ulp[100] = np.nextafter(a_ulp[100], np.inf)
+    for s in (a, np.linspace(0.0, TWO_PI, 512), a, a_ulp):
+        write_and_check(_grid_state(s))
+    moving = _grid_state(a.copy())
+    write_and_check(moving)
+    moving.s[7] += 1e-3  # the same array changed in place between two calls
+    write_and_check(moving)
+    special = np.linspace(0.0, TWO_PI, 64)
+    special[[0, 5]] = -0.0, math.nan
+    write_and_check(_grid_state(special))
+    write_and_check(_grid_state(special.copy()))
 
 
 @pytest.mark.parametrize("mode", ["linear-exact", "linear-ode", "nonlinear"])

@@ -3,9 +3,10 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from peakonlab.energetics import E_PHI, F_PHI, check_conserved, energies
+from peakonlab.energetics import E_PHI, F_PHI, EnergyReport, check_conserved, energies
 from peakonlab.kernel import M
 from peakonlab.linear import integrate_linear
 from peakonlab.profiles import InitialCondition, sine
@@ -49,6 +50,24 @@ def test_sine_perturbation_energies_closed_form():
     assert rep.E_v == pytest.approx(TWO_PI, rel=1e-10)
     assert rep.P == pytest.approx(1.4, rel=1e-9)
     assert rep.E_v >= 0.0 and rep.P > 0.0
+
+
+def _report(E_v, P=0.3, E_u=E_PHI + 1.0, F_v=0.2) -> EnergyReport:
+    return EnergyReport(t=0.0, E_v=E_v, F_v=F_v, P=P, S=0.0, E_u=E_u, F_u=0.0,
+                        v_peak=0.0, vbar=0.0, vbar_measured=0.0)
+
+
+def test_combo_nonlinear_is_inf_once_the_square_overflows():
+    # a Python float ** raises OverflowError past about 1.3e154; the combination is inf
+    assert _report(1e200).combo_nonlinear == math.inf
+
+
+def test_combo_nonlinear_keeps_the_power_formula_bitwise():
+    # E_v ** 2 and E_v * E_v can differ in the last bit; the summary prints the former
+    rows = np.random.default_rng(11).standard_normal((200, 4)) * [1e3, 10.0, 10.0, 1e2]
+    for E_v, P, E_u, F_v in rows.tolist():  # Python floats, as energies() reports them
+        expected = 2.0 * P - M * E_v - 0.25 * (E_u - E_PHI) * E_v + 0.125 * E_v ** 2 + F_v
+        assert _report(E_v, P, E_u, F_v).combo_nonlinear == expected
 
 
 def test_full_energy_expansion_identity():
