@@ -256,12 +256,18 @@ def _report_values(report) -> tuple:
     return (*astuple(report), report.combo_linear, report.combo_nonlinear)
 
 
-def _output_dir(path: str) -> Path:
+def _output_dir(path: str, csv_names) -> Path:
+    """The output directory, created if need be.  A state CSV already in it that this run
+    will not write is an error, so a summary never sits beside another run's states."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        stale = sorted(p.name for p in out.iterdir()
+                       if re.fullmatch(r"state_[0-9]+\.csv", p.name) and p.name not in csv_names)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from None
+    if stale:
+        raise ConfigError(f"output directory {out} holds {stale[0]}, which this run would not write")
     return out
 
 
@@ -279,7 +285,7 @@ def run_scenario(config: ScenarioConfig) -> int:
         pts = ";".join(_fmt(p) for p in fam.critical_points)
         lines += [f"a={_fmt(fam.a)}", f"c={_fmt(fam.c)}",
                   f"family={fam.family}", f"critical_points={pts}"]
-        out = _output_dir(config.out_dir)
+        out = _output_dir(config.out_dir, ())
         (out / "summary.txt").write_text("\n".join(lines) + "\n", newline="\n")
         print(f"a={_fmt(config.a)} c={_fmt(config.c)} -> {fam.family}")
         return 0
@@ -349,7 +355,7 @@ def run_scenario(config: ScenarioConfig) -> int:
             lines.append(f"t{i}_E_pred={_fmt(pred)}")
             lines.append(f"t{i}_E_rel_err={_fmt(rel)}")
 
-    out = _output_dir(config.out_dir)  # only now: a run that fails above leaves nothing
+    out = _output_dir(config.out_dir, csv_names)  # only now: a failed run leaves nothing
     for name, state in zip(csv_names, states):
         write_state_csv(out / name, state)
     (out / "summary.txt").write_text("\n".join(lines) + "\n", newline="\n")

@@ -92,12 +92,14 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
 
 
 class StageWorkspace:
-    """Every row of a nonlinear RK4 stage on n nodes (34 n floats) and every view it reads,
-    built at a grid's first stage as ``grid.workspace``: :func:`node_convolutions` fills its
-    table and density rows (the :mod:`.quadrature` sums it calls write there and keep their
-    own scratch), and ``nonlinear._rhs`` reads them and writes the stage derivative ``dZ``."""
+    """Every row of a nonlinear RK4 stage on the nodes s (34 n floats), every view it reads
+    and the :class:`.quadrature.Grid` of s, built by whoever runs the stages (once per run in
+    ``integrate_nonlinear``).  :func:`node_convolutions` fills its table and density rows (the
+    sums it calls keep their own scratch), and ``nonlinear._rhs`` writes the derivative ``dZ``."""
 
-    def __init__(self, n: int):
+    def __init__(self, s):
+        self.grid = as_grid(s)
+        n = len(self.grid.x)
         self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
         self.args, table = np.empty((3, n)), np.empty((2, 3, n))  # args: X, X - pi, pi + X
         self.cosh, self.sinh = table  # of the args
@@ -123,25 +125,22 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     :func:`.quadrature.cumulative_integral`, read from below and from above
     every node.  On a position grid (X = s, J = 1) this is algebraically the
     panel-split rule of :func:`conv_q`/:func:`conv_p`, at O(n) instead of
-    O(n^2).  The nonlinear integrator calls it every stage with s as its
-    :class:`.quadrature.Grid`.  Its temporaries are the fields of that grid's
-    :class:`StageWorkspace`, which it fills; ``nonlinear._rhs`` reads the table ``h``,
-    ``lo``, ``hi`` (cosh, sinh of X, X - pi, pi + X) and ``vv`` = V^2, ``half_uu`` = U^2/2.
+    O(n^2).  ``s`` is a :class:`StageWorkspace`, whose rows receive the temporaries
+    (``nonlinear._rhs`` then reads the table ``h``, ``lo``, ``hi`` = (cosh, sinh) of X,
+    X - pi, pi + X and ``vv`` = V^2, ``half_uu`` = U^2/2), or the nodes or their
+    :class:`.quadrature.Grid`, for which a new workspace is built and dropped.
     """
-    grid = as_grid(s)
-    ws = grid.workspace
-    if ws is None:
-        ws = grid.workspace = StageWorkspace(len(grid.x))
+    ws = s if isinstance(s, StageWorkspace) else StageWorkspace(s)
     np.add(X, ws.shifts, out=ws.args)
     np.cosh(ws.args, out=ws.cosh)
     np.sinh(ws.args, out=ws.sinh)
     np.multiply(V, V, out=ws.vv)
     np.multiply(np.multiply(U, 0.5, out=ws.half_uu), U, out=ws.half_uu)
     np.multiply(np.add(ws.vv, ws.half_uu, out=ws.g), J, out=ws.g)
-    fd_derivative(grid, ws.g, out=ws.gp)
+    fd_derivative(ws.grid, ws.g, out=ws.gp)
     np.multiply(ws.h, ws.g_gp, out=ws.f_h_gp)  # h g and h g', h = (cosh, sinh) X
     np.add(np.multiply(np.multiply(ws.h_swap, J, out=ws.df), ws.g, out=ws.df), ws.h_gp, out=ws.df)
-    cumulative_integral(grid, ws.f, ws.df, out=ws.low)
+    cumulative_integral(ws.grid, ws.f, ws.df, out=ws.low)
     np.subtract(ws.low_end, ws.low, out=ws.high)
     # rows Q, P: (sinh, cosh)(X - pi) low_c - (cosh, sinh)(X - pi) low_s
     # + (sinh, cosh)(pi + X) high_c - (cosh, sinh)(pi + X) high_s

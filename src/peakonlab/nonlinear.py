@@ -40,10 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import node_convolutions
+from .convolution import StageWorkspace, node_convolutions
 from .kernel import M, TWO_PI, m, phi
 from .profiles import InitialCondition
-from .quadrature import Grid, as_grid
 from .state import CharacteristicState, initial_state, march, save_steps
 
 
@@ -89,12 +88,12 @@ def _peak_forcing(v_peak, p0, pmv: float):
     return M * v_peak - pmv + v_peak ** 2 - p0
 
 
-def _rhs(s, Z: np.ndarray, pmv: float):
-    """Stage derivative for stacked Z = (X, W, V, U, J) on the grid s; returns (dZ, P0)."""
-    grid = as_grid(s)
+def _rhs(ws: StageWorkspace, Z: np.ndarray, pmv: float):
+    """Stage derivative for stacked Z = (X, W, V, U, J) in the caller's workspace ws, which
+    holds the run's grid and every temporary; returns (dZ, P0), dZ a new array."""
     X, W, V, U, J = Z[0], Z[1], Z[2], Z[3], Z[4]  # indexing: iterating over Z is slower
-    Q, P = node_convolutions(grid, X, V, U, J)  # fills the grid's workspace, read below
-    ws, v0, p0 = grid.workspace, V.item(0), P.item(0)
+    Q, P = node_convolutions(ws, X, V, U, J)
+    v0, p0 = V.item(0), P.item(0)
     ph, php, tmp, coshX, sinhX = ws.ph, ws.php, ws.tmp, ws.coshX, ws.sinhX
     dX, dW, dV, dU, dJ = ws.dZ_rows
     np.multiply(ws.lo, m, out=ws.phis)  # phi, phi' = m (cosh, sinh)(X - pi), from the table
@@ -119,7 +118,7 @@ def nl_rhs(state: CharacteristicState) -> StateDerivative:
     Zero perturbation reduces to the pure characteristic flow
     (dX = phi - M, dJ = phi' J); the peak value moves with dV[0] = -Q[v](0).
     """
-    dZ, _ = _rhs(state.s, state.stack(), math.pi * m * m * state.vbar)
+    dZ, _ = _rhs(StageWorkspace(state.s), state.stack(), math.pi * m * m * state.vbar)
     return StateDerivative(dX=dZ[0], dV=dZ[2], dW=dZ[1], dU=dZ[3], dJ=dZ[4])
 
 
@@ -139,8 +138,8 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     n_steps, saves = save_steps(t_end, dt, save_times)
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
-    grid = Grid(start.s)  # built once, used by every stage
-    rhs = lambda t, Z: _rhs(grid, Z, pmv)  # autonomous; side output P0
+    ws = StageWorkspace(start.s)  # built once, used by every stage of this run
+    rhs = lambda t, Z: _rhs(ws, Z, pmv)  # autonomous; side output P0
     rows = []  # (t, V|peak, P(0), U+, U-) of every finite state reached
     slopes = [float(np.max(np.abs(start.U)))]  # max|U| of the same states, taken by stop
     saved, _, t_stop, outcome = march(

@@ -1,6 +1,6 @@
 """Derivative-corrected trapezoid quadrature on arbitrary increasing node sets.
 
-Every integral in this package (energy functionals, circle convolutions,
+Every integral in this package (energy functionals, kernel integrals,
 identity checks) runs through the same panel rule
 
     int_a^b f  ~=  (b-a)/2 [f(a) + f(b)] + (b-a)^2/12 [f'(a) - f'(b)],
@@ -33,7 +33,6 @@ class Grid:
         if len(x) > 1 and self.dx.min() <= 0:
             raise ValueError("nodes must be strictly increasing")
         self.panel = 0.5 * self.dx, self.dx * self.dx / 12.0  # weights of f, f' per panel
-        self.workspace = None  # a .convolution.StageWorkspace, built by a nonlinear stage
 
     @cached_property
     def stencil(self):
@@ -51,19 +50,10 @@ class Grid:
         return interior, first, last
 
 
-_last_grid = None  # the grid of the last node array passed to as_grid
-
-
 def as_grid(x) -> Grid:
-    """x itself when it is a :class:`Grid`, else the grid of the nodes x, kept for as long
-    as the same node values come back (the states of one run share their nodes)."""
-    global _last_grid
-    last = _last_grid
-    if isinstance(x, Grid):
-        return x
-    if last is None or np.shape(x) != last.x.shape or not np.array_equal(x, last.x):
-        _last_grid = last = Grid(np.array(x, dtype=float))  # a copy: x may change later
-    return last
+    """x itself when it is a :class:`Grid`, else a new grid of the nodes x.  Nothing is
+    kept between calls: a caller that integrates on one grid many times builds it once."""
+    return x if isinstance(x, Grid) else Grid(x)
 
 
 def fd_derivative(x, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -119,8 +109,8 @@ def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None,
 
     ``x`` is the nodes or their :class:`Grid`; ``out`` (shaped like f) receives the
     result when given.  The one panel sum:
-    :func:`integrate_samples`, the corner-split convolution rule and the
-    O(n) convolutions read their integrals off it.
+    :func:`integrate_samples`, the corner-split kernel rule and the
+    nonlinear stage read their integrals off it.
     """
     grid = as_grid(x)
     f = np.asarray(f, dtype=float)

@@ -176,6 +176,29 @@ def test_byte_identical_reruns(tmp_path):
         assert a == b
 
 
+def _tree_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_reused_output_directory_rerun_or_refused(tmp_path, capsys):
+    # a rerun into its own directory rewrites the same bytes; a run that would
+    # leave an earlier run's state CSVs beside its summary is refused before
+    # anything is written
+    args = ["linear-exact", "--ic", "sin", "--t", "0,1,2", "--nchars", "16", "--out", str(tmp_path)]
+    assert main(args) == 0
+    before = _tree_bytes(tmp_path)
+    assert main(args) == 0
+    assert _tree_bytes(tmp_path) == before and len(before) == 4
+    capsys.readouterr()
+    for args, first_stale in ((["linear-exact", "--ic", "cos", "--t", "0", "--nchars", "16"],
+                               "state_01.csv"),
+                              (["classify", "--a", "0", "--c", str(M)], "state_00.csv")):
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err and first_stale in err
+        assert _tree_bytes(tmp_path) == before
+
+
 def test_nonlinear_zero_profile_matches_linear_exact(tmp_path):
     shared = dict(ic_spec="", t_samples=(0.5, 1.0), dt=1e-3, n_chars=32)
     run_scenario(ScenarioConfig(mode="linear-exact", out_dir=str(tmp_path / "le"), **shared))

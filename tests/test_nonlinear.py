@@ -1,13 +1,16 @@
 """Nonlinear characteristic dynamics: reduction limits, conservation, breaking."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from peakonlab import convolution, linear, nonlinear
-from peakonlab.convolution import DensitySample, conv_q, node_convolutions, q_density
+from peakonlab import linear, nonlinear
+from peakonlab.convolution import (DensitySample, StageWorkspace, conv_q, node_convolutions,
+                                   q_density)
 from peakonlab.energetics import check_conserved, energies
 from peakonlab.kernel import M, m, phi, phi_open_interval, phi_prime_open_interval
 from peakonlab.nonlinear import (integrate_nonlinear, nl_rhs, peak_slope_forecast,
@@ -78,7 +81,7 @@ def test_rhs_local_terms_match_the_linearized_field_bitwise():
     for t in (0.0, 0.7, 3.0):
         st = linear.exact_state(t, ic, 129)
         Z = np.stack([st.X, st.W, np.zeros_like(st.V), np.zeros_like(st.U), st.J])
-        assert np.array_equal(nonlinear._rhs(Grid(st.s), Z, pmv)[0], _linear_rhs(Z, pmv))
+        assert np.array_equal(nonlinear._rhs(StageWorkspace(st.s), Z, pmv)[0], _linear_rhs(Z, pmv))
 
 
 # ------------------------------------------------------------ integration
@@ -210,19 +213,19 @@ def test_stage_matches_the_unbuffered_formulas_bitwise():
         pmv = math.pi * m * m * st.vbar
         Q, P, dZ = _reference_stage(st.s, st.stack(), pmv)
         assert all(map(np.array_equal, node_convolutions(st.s, st.X, st.V, st.U, st.J), (Q, P)))
-        got, p0 = nonlinear._rhs(Grid(st.s), st.stack(), pmv)
+        got, p0 = nonlinear._rhs(StageWorkspace(st.s), st.stack(), pmv)
         assert np.array_equal(got, dZ) and p0 == P[0]
 
 
-def test_stage_results_are_not_reused_buffers():
-    # the grid keeps the stage's temporaries between calls; results are new
-    # arrays that later calls on other data leave alone
+def test_stage_results_on_one_workspace_are_new_arrays():
+    # a run passes one workspace to every stage; results are new arrays that
+    # later stages on other data leave alone
     st1, st2, _ = _warped_states()
-    grid, pmv = Grid(st1.s), math.pi * m * m * st1.vbar
-    first, p_first = nonlinear._rhs(grid, st1.stack(), pmv)
+    ws, pmv = StageWorkspace(st1.s), math.pi * m * m * st1.vbar
+    first, p_first = nonlinear._rhs(ws, st1.stack(), pmv)
     kept = first.copy()
-    second, _ = nonlinear._rhs(grid, st2.stack(), pmv)
-    third, p_third = nonlinear._rhs(grid, st1.stack(), pmv)
+    second, _ = nonlinear._rhs(ws, st2.stack(), pmv)
+    third, p_third = nonlinear._rhs(ws, st1.stack(), pmv)
     assert not np.array_equal(first, second)
     assert np.array_equal(first, kept) and np.array_equal(third, kept) and p_first == p_third
     d1 = nl_rhs(st1)
@@ -240,49 +243,63 @@ def test_node_convolutions_results_survive_a_second_call():
     assert np.array_equal(Q1, kept[0]) and np.array_equal(P1, kept[1])
 
 
-def test_grid_builds_one_workspace_at_its_first_stage(monkeypatch):
-    # the stage's arrays live on its grid, built once by the first stage; other
-    # grids, and the throwaway grids of energies, never share or build one
-    built = []
+def _track(monkeypatch, cls):
+    """Weak references to every instance of cls built from now on."""
+    made, init = [], cls.__init__
 
-    class Counted(convolution.StageWorkspace):
-        def __init__(self, n):
-            built.append(n)
-            super().__init__(n)
+    def tracked(self, *args):
+        made.append(weakref.ref(self))
+        init(self, *args)
 
-    monkeypatch.setattr(convolution, "StageWorkspace", Counted)
-    st1, st2, _ = _warped_states()
-    energies(st1)
-    grid, pmv = Grid(st1.s), math.pi * m * m * st1.vbar
-    assert built == [] and grid.workspace is None
-    nonlinear._rhs(grid, st1.stack(), pmv)
-    ws = grid.workspace
-    nonlinear._rhs(grid, st2.stack(), pmv)
-    node_convolutions(grid, st1.X, st1.V, st1.U, st1.J)
-    assert built == [129] and grid.workspace is ws
-    other = Grid(st1.s)
-    nonlinear._rhs(other, st1.stack(), pmv)
-    assert built == [129, 129] and other.workspace is not ws
-    arrays = lambda w: [a for a in vars(w).values() if isinstance(a, np.ndarray)]
-    assert not any(np.shares_memory(a, b) for a in arrays(ws) for b in arrays(other.workspace))
-    energies(st2)
-    assert len(built) == 2
+    monkeypatch.setattr(cls, "__init__", tracked)
+    return made
 
 
-def test_stages_on_alternating_grids_match_a_fresh_grid_bitwise():
-    # two grids of different n used in turn, directly and through the grid that
-    # as_grid keeps for nl_rhs's node arrays, give a fresh grid's results
+def _all_dead(refs):
+    gc.collect()
+    return all(ref() is None for ref in refs)
+
+
+def test_integrate_nonlinear_builds_one_workspace_that_dies_with_the_run(monkeypatch):
+    workspaces, grids = _track(monkeypatch, StageWorkspace), _track(monkeypatch, Grid)
+    for ic, t_end, status in ((sine(0.01), 0.05, "completed"), (bump(-0.5), 6.0, "blew_up")):
+        workspaces.clear()
+        _, report = integrate_nonlinear(ic, t_end, dt=1e-2, n_chars=32, save_times=[0.0])
+        assert report.status == status and len(workspaces) == 1 and grids
+        assert _all_dead(workspaces) and _all_dead(grids)
+    energies(initial_state(sine(0.01), 32))  # runs no stage, so builds no workspace
+    assert len(workspaces) == 1
+
+
+def test_no_grid_or_workspace_outlives_a_node_array_call(monkeypatch):
+    workspaces, grids = _track(monkeypatch, StageWorkspace), _track(monkeypatch, Grid)
+    st, _, _ = _warped_states()
+    for call in (lambda: nl_rhs(st),
+                 lambda: node_convolutions(st.s, st.X, st.V, st.U, st.J),
+                 lambda: node_convolutions(Grid(st.s), st.X, st.V, st.U, st.J)):
+        workspaces.clear()
+        grids.clear()
+        result = call()
+        assert len(workspaces) == 1 and len(grids) == 1
+        assert _all_dead(workspaces) and _all_dead(grids) and result is not None
+
+
+def test_stages_on_alternating_workspaces_match_fresh_ones_bitwise():
+    # two workspaces of different n used in turn, and nl_rhs on the same
+    # states, give the results of a fresh workspace for every stage
     ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
     states = [linear.exact_state(t, ic, n) for t in (0.7, 1.9) for n in (129, 128)]
     pmv = math.pi * m * m * ic.vbar
-    fresh = [nonlinear._rhs(Grid(st.s), st.stack(), pmv) for st in states]
-    grids = {len(st.s): Grid(st.s) for st in states}
+    fresh = [nonlinear._rhs(StageWorkspace(st.s), st.stack(), pmv) for st in states]
+    kept = {len(st.s): StageWorkspace(st.s) for st in states}
     for _ in range(2):
         for st, (dZ, p0) in zip(states, fresh):
-            got, got_p0 = nonlinear._rhs(grids[len(st.s)], st.stack(), pmv)
+            got, got_p0 = nonlinear._rhs(kept[len(st.s)], st.stack(), pmv)
             assert np.array_equal(got, dZ) and got_p0 == p0
             d = nl_rhs(st)
             assert np.array_equal(np.stack([d.dX, d.dW, d.dV, d.dU, d.dJ]), dZ)
+            assert all(map(np.array_equal, node_convolutions(st.s, st.X, st.V, st.U, st.J),
+                           node_convolutions(kept[len(st.s)], st.X, st.V, st.U, st.J)))
 
 
 def test_max_abs_slope_is_the_largest_slope_of_every_state():
@@ -404,16 +421,8 @@ def test_doubled_root_start_blows_up_no_later_than_bound():
 
 # ------------------------------------------------------------------ breaking
 
-@pytest.fixture(scope="module")
-def breaking_run():
-    ic = steepest_budget_bump(0.01)
-    traj, report = integrate_nonlinear(ic, 20.0, dt=5e-4, n_chars=256,
-                                       save_times=[0.0])
-    return ic, traj, report
-
-
 def test_breaking_detected(breaking_run):
-    _, traj, report = breaking_run
+    _, traj, report, _ = breaking_run
     assert report.status == "blew_up"
     assert report.max_abs_slope >= 1e6
     assert report.t_stop < 20.0
@@ -423,7 +432,7 @@ def test_breaking_detected(breaking_run):
 
 
 def test_breaking_bounded_by_riccati_comparison(breaking_run):
-    _, traj, report = breaking_run
+    _, traj, report, _ = breaking_run
     forcing = nonlinear.measured_forcing_bound(traj, report)
     bound = riccati_bound(traj.diag_u_right[0], forcing)
     assert math.isfinite(bound)
@@ -435,7 +444,7 @@ def test_breaking_bounded_by_riccati_comparison(breaking_run):
 
 
 def test_forcing_bound_excludes_post_threshold_record(breaking_run):
-    _, traj, report = breaking_run
+    _, traj, report, _ = breaking_run
     # the raw bracket at the stopping step is meaningless (overshoot state);
     # the resolved-phase bound must stay at the small-perturbation scale
     bound = nonlinear.measured_forcing_bound(traj, report)

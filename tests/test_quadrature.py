@@ -106,18 +106,21 @@ def test_cumulative_integral_sums_panels_left_to_right():
     assert np.array_equal(out, fd_derivative(grid, rows))
 
 
-def test_node_array_grid_is_reused_by_value():
+def test_node_arrays_get_a_new_grid_on_every_call():
     x = _cosine_nodes(33)
     f = np.sin(2.0 * x)
-    assert as_grid(x) is as_grid(list(x)) is as_grid(x.copy())
-    expected = fd_derivative(Grid(x), f)
-    x[5] += 1e-3  # changed in place: the kept grid must not be reused
-    assert as_grid(x) is not as_grid(x.copy() + 1.0)
+    grid = Grid(x)
+    assert as_grid(grid) is grid and as_grid(x) is not as_grid(x)
+    expected = fd_derivative(grid, f)
+    assert np.array_equal(fd_derivative(x, f), expected)
+    x[5] += 1e-3  # changed in place: the next call sees the new nodes
     assert np.array_equal(fd_derivative(x, f), fd_derivative(Grid(x.copy()), f))
     assert not np.array_equal(fd_derivative(x, f), expected)
     x[5] = x[4]
     with pytest.raises(ValueError, match="increasing"):
         fd_derivative(x, f)
+    with pytest.raises(ValueError, match="increasing"):
+        cumulative_integral(x, f)
 
 
 def test_grid_validation():
