@@ -198,19 +198,18 @@ def write_state_csv(path: Path, state) -> None:
     the X column sweeps [-2*pi, 2*pi] for direct plotting.  The + 0.0 of the
     fundamental block prints a -0.0 position as 0.  V, U and W are the same
     in both blocks, so they are formatted once and shared, and the s cells
-    come from the grid's cache; the file holds the bytes
-    np.savetxt(fmt="%.17g", delimiter=",") writes for these rows.
+    come from the grid's cache.  Each block goes to the file once formatted;
+    the file holds the bytes np.savetxt(fmt="%.17g", delimiter=",") writes.
     """
     n = len(state.s)  # "%.17g" never prints a line break
     vuw = ("%.17g,%.17g,%.17g\n" * n % tuple(
         np.column_stack((state.V, state.U, state.W)).ravel().tolist())).splitlines(keepends=True)
     s_cells = _s_cells(np.ascontiguousarray(state.s, dtype=float).tobytes())
-    parts = ["s,X,V,U,W\n"]
-    for cells, shift in zip(s_cells, (-TWO_PI, 0.0)):
-        parts.append(("%s%.17g,%s" * n) % tuple(
-            chain.from_iterable(zip(cells, (state.X + shift).tolist(), vuw))))
     with open(path, "w", newline="\n") as fh:
-        fh.write("".join(parts))
+        fh.write("s,X,V,U,W\n")
+        for cells, shift in zip(s_cells, (-TWO_PI, 0.0)):
+            fh.write(("%s%.17g,%s" * n) % tuple(
+                chain.from_iterable(zip(cells, (state.X + shift).tolist(), vuw))))
 
 
 def read_state_csv(path):
@@ -271,11 +270,21 @@ def _output_dir(path: str, csv_names) -> Path:
     return out
 
 
+def _closed_form_states(ic, config):
+    """Each sample's closed-form state, built anew on every pass over the samples."""
+    for t in config.t_samples:
+        with np.errstate(all="ignore"):  # a non-finite sample is reported as an error
+            state = linear.exact_state(t, ic, config.n_chars)
+        yield state  # outside the errstate, so the caller keeps its own
+
+
 def run_scenario(config: ScenarioConfig) -> int:
     """Execute one scenario; returns the process exit code (0, or 2 on breaking).
 
-    The output directory is created only once the run has produced its
-    result, so a rejected or failed run leaves nothing behind.
+    Every sample is checked and reported in one pass before anything is written,
+    and closed-form states are rebuilt to be written, so a run holds one at a time.
+    The output directory is created only once the run has produced its result,
+    so a rejected or failed run leaves nothing behind.
     """
     config.validate()
     lines = [f"mode={config.mode}"]
@@ -305,18 +314,15 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     exit_code = 0
     if config.mode == "linear-exact":
-        with np.errstate(all="ignore"):  # a non-finite sample is reported below, as an error
-            states = [linear.exact_state(t, ic, config.n_chars) for t in config.t_samples]
+        states = functools.partial(_closed_form_states, ic, config)
     elif config.mode in ("linear-ode", "energies"):
         traj = linear.integrate_linear(ic, config.t_samples[-1], dt=config.dt,
                                        n_chars=config.n_chars,
                                        save_times=config.t_samples)
-        states = traj.states
     elif config.mode == "nonlinear":
         traj, blowup = nonlinear.integrate_nonlinear(
             ic, config.t_samples[-1], dt=config.dt, n_chars=config.n_chars,
             slope_threshold=config.slope_threshold, save_times=config.t_samples)
-        states = traj.states
         lines.append(f"blowup_status={blowup.status}")
         lines.append(f"blowup_t_stop={_fmt(blowup.t_stop)}")
         lines.append(f"blowup_max_abs_slope={_fmt(blowup.max_abs_slope)}")
@@ -326,22 +332,25 @@ def run_scenario(config: ScenarioConfig) -> int:
             lines.append(f"blowup_measured_forcing={_fmt(forcing)}")
             lines.append(f"blowup_riccati_bound={_fmt(bound) if math.isfinite(bound) else 'inf'}")
             exit_code = 2
+    if config.mode != "linear-exact":
+        states = functools.partial(iter, traj.states)
 
-    if config.mode == "nonlinear":  # a breaking run's stop state may be past resolution
-        reports = [energetics.energies(state) for state in states]
-    else:
-        with np.errstate(all="ignore"):  # the first non-finite sample is reported below
-            reports = [energetics.energies(state) for state in states]
-        for last, state, report in zip((0.0, *config.t_samples), states, reports):
+    reports, state_lines = [], []
+    for i, (last, state) in enumerate(zip((0.0, *config.t_samples), states())):
+        if config.mode == "nonlinear":  # a breaking run's stop state may be past resolution
+            report = energetics.energies(state)
+        else:
+            with np.errstate(all="ignore"):  # the first non-finite sample is an error
+                report = energetics.energies(state)
             for what, xs in (("closed-form state", state.stack()),
                              ("energies", _report_values(report))):
                 if not np.isfinite(xs).all():
                     raise linear.IntegrationError(f"{what} not finite at t={state.t:g}", last)
+        reports.append(report)
+        state_lines += _summary_lines_for_state(i, state, report)
 
-    csv_names = [f"state_{i:02d}.csv" for i in range(len(states))]
-    lines += [f"csv_{i:02d}={name}" for i, name in enumerate(csv_names)]
-    for i, (state, report) in enumerate(zip(states, reports)):
-        lines += _summary_lines_for_state(i, state, report)
+    csv_names = [f"state_{i:02d}.csv" for i in range(len(reports))]
+    lines += [f"csv_{i:02d}={name}" for i, name in enumerate(csv_names)] + state_lines
     if reports:
         lines += _drift_lines(reports)
 
@@ -356,10 +365,10 @@ def run_scenario(config: ScenarioConfig) -> int:
             lines.append(f"t{i}_E_rel_err={_fmt(rel)}")
 
     out = _output_dir(config.out_dir, csv_names)  # only now: a failed run leaves nothing
-    for name, state in zip(csv_names, states):
+    for name, state in zip(csv_names, states()):
         write_state_csv(out / name, state)
     (out / "summary.txt").write_text("\n".join(lines) + "\n", newline="\n")
-    print(f"{config.mode}: wrote {len(states)} sample(s) to {out}")
+    print(f"{config.mode}: wrote {len(csv_names)} sample(s) to {out}")
     if exit_code == 2:
         print("wave breaking detected; see summary.txt")
     return exit_code

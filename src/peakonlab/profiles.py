@@ -52,70 +52,60 @@ class InitialCondition:
 
     # -- closed-form evaluators (s on [0, 2*pi]) ---------------------------
 
+    def _series(self, out, cos_term, sin_term, bump_term):
+        """out + every cos_term(k, a_k), sin_term(k, b_k) and bump_term(beta); float if scalar."""
+        for k, a in enumerate(self.cosine_coeffs, start=1):
+            out = out + cos_term(k, a)
+        for k, b in enumerate(self.sine_coeffs, start=1):
+            out = out + sin_term(k, b)
+        if self.bump_amplitude:
+            out = out + bump_term(self.bump_amplitude)
+        return out if out.ndim else float(out)
+
     def value(self, s):
         s = np.asarray(s, dtype=float)
         theta = np.where(s == TWO_PI, 0.0, s)  # exact trig at the 2*pi end
-        out = np.full_like(s, self.constant, dtype=float)
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out += a * np.cos(k * theta)
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out += b * np.sin(k * theta)
-        if self.bump_amplitude:
-            out += self.bump_amplitude * s * (TWO_PI - s) / TWO_PI
-        return out if out.ndim else float(out)
+        return self._series(np.full_like(s, self.constant, dtype=float),
+                            lambda k, a: a * np.cos(k * theta),
+                            lambda k, b: b * np.sin(k * theta),
+                            lambda beta: beta * s * (TWO_PI - s) / TWO_PI)
 
     def slope(self, s):
         """Derivative on the (0, 2*pi) branch; one-sided at the ends."""
         s = np.asarray(s, dtype=float)
         theta = np.where(s == TWO_PI, 0.0, s)  # exact trig at the 2*pi end
-        out = np.zeros_like(s, dtype=float)
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out += -k * a * np.sin(k * theta)
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out += k * b * np.cos(k * theta)
-        if self.bump_amplitude:
-            out += self.bump_amplitude * (1.0 - s / math.pi)
-        return out if out.ndim else float(out)
+        return self._series(np.zeros_like(s, dtype=float),
+                            lambda k, a: -k * a * np.sin(k * theta),
+                            lambda k, b: k * b * np.cos(k * theta),
+                            lambda beta: beta * (1.0 - s / math.pi))
 
     def second_derivative(self, s):
         s = np.asarray(s, dtype=float)
         theta = np.where(s == TWO_PI, 0.0, s)  # exact trig at the 2*pi end
-        out = np.zeros_like(s, dtype=float)
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out += -k * k * a * np.cos(k * theta)
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out += -k * k * b * np.sin(k * theta)
-        if self.bump_amplitude:
-            out += -self.bump_amplitude / math.pi
-        return out if out.ndim else float(out)
+        return self._series(np.zeros_like(s, dtype=float),
+                            lambda k, a: -k * k * a * np.cos(k * theta),
+                            lambda k, b: -k * k * b * np.sin(k * theta),
+                            lambda beta: -beta / math.pi)
 
     def antiderivative(self, s):
         """w0(s) = int_0^s v0, in closed form, s on [0, 2*pi]."""
         s = np.asarray(s, dtype=float)
-        out = self.constant * s
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out = out + a * np.sin(k * s) / k
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out = out + b * (1.0 - np.cos(k * s)) / k
-        if self.bump_amplitude:
-            out = out + self.bump_amplitude * (s * s / 2.0 - s ** 3 / (6.0 * math.pi))
-        return out if out.ndim else float(out)
+        return self._series(self.constant * s,
+                            lambda k, a: a * np.sin(k * s) / k,
+                            lambda k, b: b * (1.0 - np.cos(k * s)) / k,
+                            lambda beta: beta * (s * s / 2.0 - s ** 3 / (6.0 * math.pi)))
 
     def tail_integral(self, s):
         """int_s^{2*pi} v0, in closed form in d = 2*pi - s, so it is exactly 0 at 2*pi.
 
-        w0(s) = 2*pi*vbar - tail_integral(s); near s = 2*pi this form keeps the
-        O(eps) remainder of sin(2*pi k) and 1 - cos(2*pi k) out of w0.
+        w0(s) = 2*pi*vbar - tail_integral(s); near s = 2*pi this form keeps the O(eps)
+        remainder of sin(2*pi k) and 1 - cos(2*pi k) out of w0.  psi is symmetric about pi.
         """
         d = TWO_PI - np.asarray(s, dtype=float)
-        out = self.constant * d
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out = out + a * np.sin(k * d) / k
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out = out - 2.0 * b * np.sin(0.5 * k * d) ** 2 / k
-        if self.bump_amplitude:  # psi is symmetric about pi
-            out = out + self.bump_amplitude * (d * d / 2.0 - d ** 3 / (6.0 * math.pi))
-        return out if out.ndim else float(out)
+        return self._series(self.constant * d,
+                            lambda k, a: a * np.sin(k * d) / k,
+                            lambda k, b: -(2.0 * b * np.sin(0.5 * k * d) ** 2 / k),
+                            lambda beta: beta * (d * d / 2.0 - d ** 3 / (6.0 * math.pi)))
 
     # -- derived peak data --------------------------------------------------
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -271,8 +272,8 @@ def test_non_finite_linear_run_reported_as_error(tmp_path, capsys):
 
 def test_non_finite_closed_form_reported_as_error(tmp_path, capsys):
     # e^t overflows the closed form between t = 354 and 355; the first such sample
-    # is an error naming its time, and nothing is written
-    code = main(["linear-exact", "--ic", "sin", "--t", "0,800", "--nchars", "16",
+    # is an error naming its time, and nothing is written, not even the finite ones
+    code = main(["linear-exact", "--ic", "sin", "--t", "0,1,2,800", "--nchars", "16",
                  "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
     assert code == 1
@@ -282,7 +283,7 @@ def test_non_finite_closed_form_reported_as_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["linear-exact", "--t", "0,354"],
+    ["linear-exact", "--t", "0,1,354"],
     ["linear-ode", "--t", "354", "--dt", "0.5"],
 ])
 def test_non_finite_energies_reported_as_error(tmp_path, capsys, args):
@@ -458,6 +459,42 @@ def test_run_scenario_csvs_match_savetxt_of_library_states(tmp_path, mode):
     for i, st in enumerate(states):
         written = (tmp_path / mode / f"state_{i:02d}.csv").read_bytes()
         assert written == _savetxt_bytes(st)
+
+
+def _linear_exact_traced_peak(out_dir, n_samples):
+    config = ScenarioConfig(mode="linear-exact", ic_spec="sin+0.5*cos3",
+                            t_samples=tuple(0.1 * i for i in range(n_samples)),
+                            n_chars=1024, out_dir=str(out_dir))
+    cli._s_cells.cache_clear()
+    tracemalloc.start()
+    try:
+        assert run_scenario(config) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_linear_exact_memory_does_not_grow_with_samples(tmp_path):
+    # a linear-exact run holds one sample at a time, so more samples cost no memory
+    few = _linear_exact_traced_peak(tmp_path / "few", 4)
+    many = _linear_exact_traced_peak(tmp_path / "many", 32)
+    assert many - few < 256 * 1024
+
+
+def test_linear_exact_writes_outside_any_errstate(tmp_path, monkeypatch):
+    # the closed form is built under np.errstate(all="ignore"); the writer must not run in it
+    seen = []
+    write = cli.write_state_csv
+
+    def recording_write(path, state):
+        seen.append(np.geterr()["over"])
+        write(path, state)
+
+    monkeypatch.setattr(cli, "write_state_csv", recording_write)
+    config = ScenarioConfig(mode="linear-exact", ic_spec="sin", t_samples=(0.0, 1.0, 2.0),
+                            n_chars=32, out_dir=str(tmp_path / "e"))
+    assert run_scenario(config) == 0
+    assert seen == ["warn"] * 3
 
 
 def test_unwritable_output_dir_reported():
