@@ -55,11 +55,11 @@ class InitialCondition:
     def _series(self, out, cos_term, sin_term, bump_term):
         """out + every cos_term(k, a_k), sin_term(k, b_k) and bump_term(beta); float if scalar."""
         for k, a in enumerate(self.cosine_coeffs, start=1):
-            out = out + cos_term(k, a)
+            out += cos_term(k, a)
         for k, b in enumerate(self.sine_coeffs, start=1):
-            out = out + sin_term(k, b)
+            out += sin_term(k, b)
         if self.bump_amplitude:
-            out = out + bump_term(self.bump_amplitude)
+            out += bump_term(self.bump_amplitude)
         return out if out.ndim else float(out)
 
     def value(self, s):
