@@ -475,7 +475,7 @@ def _linear_exact_traced_peak(out_dir, n_samples):
 
 
 def test_linear_exact_memory_does_not_grow_with_samples(tmp_path):
-    # a linear-exact run holds one sample at a time, so more samples cost no memory
+    # a linear-exact run holds one sample at a time, so its peak barely grows with their number
     few = _linear_exact_traced_peak(tmp_path / "few", 4)
     many = _linear_exact_traced_peak(tmp_path / "many", 32)
     assert many - few < 256 * 1024
