@@ -31,7 +31,8 @@ first of these that holds:
 Each workload and trace setting also gets an ``outputs`` entry from the
 sha256 digests of the runs' output trees (bench/_work/<workload>/result.json):
 ``identical`` when every parent and change run has the same digest,
-``differ`` otherwise, and ``unknown`` when a run has no digest.
+``differ`` otherwise, and ``unknown`` when a run has no digest.  The record's
+``src_lines`` gives each side's ``wc -l src/peakonlab/*.py`` total.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ def run_bench(tree: Path, workload: str, trace: int) -> dict:
     return {"started": started, "env": json.loads(lines[-2][len("env: "):]),
             "result": json.loads(lines[-1]),
             "digests": list(dict.fromkeys(run.get("digest") for run in runs))}
+
+
+def src_lines(tree: Path) -> int:
+    """The total ``wc -l src/peakonlab/*.py`` prints for a checkout: its newline count."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/peakonlab/*.py"))
 
 
 def outputs(group: list) -> str:
@@ -137,7 +143,8 @@ def main(argv=None) -> int:
                                     text=True).stdout.strip() or None
                for side, tree in trees.items()}
     record = {"command": [Path(sys.argv[0]).name, *(argv if argv is not None else sys.argv[1:])],
-              "commits": commits, "pairs": []}
+              "commits": commits, "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+              "pairs": []}
     for trace, count in PAIRS.items():
         for workload in (w["name"] for w in spec["workloads"]):
             for k in range(count):

@@ -38,7 +38,7 @@ from .quadrature import as_grid, cumulative_integral, fd_derivative
 
 @dataclass(frozen=True)
 class DensitySample:
-    """Perturbation samples on at least 3 increasing position nodes spanning [0, 2*pi].
+    """Finite perturbation samples on at least 3 increasing position nodes spanning [0, 2*pi].
 
     The first and last node coincide on the circle, which is how one-sided
     slope data at the peak is carried.
@@ -57,6 +57,8 @@ class DensitySample:
         object.__setattr__(self, "vx", vx)
         if not (nodes.shape == v.shape == vx.shape) or nodes.ndim != 1:
             raise ValueError("nodes, v, vx must be 1-d arrays of one length")
+        if not np.isfinite((nodes, v, vx)).all():
+            raise ValueError("nodes, v, vx must be finite")
         if len(nodes) < 3:
             raise ValueError("need at least 3 nodes")
         if abs(nodes[0]) > 1e-12 or abs(nodes[-1] - TWO_PI) > 1e-9:

@@ -56,21 +56,56 @@ class IntegrationError(RuntimeError):
         self.last_valid_time = last_valid_time
 
 
-def _char_internals(t, s):
-    """X, dX/ds, Y = d/ds log dX/ds, and Y_s, all in closed form."""
-    s = np.asarray(s, dtype=float)
-    es1 = np.expm1(s)
-    gap = -E_2PI * np.expm1(s - TWO_PI)  # e^{2pi} - e^s, accurate at s ~ 2pi
-    a_den = gap + math.exp(-t) * es1
-    a_num = gap + math.exp(TWO_PI - t) * es1
-    X = np.log(a_num / a_den)
-    Xs = (E_2PI - 1.0) ** 2 * np.exp(s - t) / (a_den * a_num)
-    es = np.exp(s)
-    ad = es * math.expm1(-t) / a_den
-    an = es * math.expm1(TWO_PI - t) / a_num
-    Y = 1.0 - ad - an
-    Ys = -ad * (1.0 - ad) - an * (1.0 - an)
-    return X, Xs, Y, Ys
+def _check_time(t) -> None:
+    if not t >= 0:  # NaN fails this too
+        raise ValueError(f"t must be nonnegative, got {t!r}")
+
+
+class ClosedForm:
+    """The closed-form linear flow of one profile on the characteristics s, at any t.
+
+    Everything that depends on s alone is computed here, once; a call adds the
+    work of one t.  On the right half G is taken from the s = 2pi end: with
+    w0 = 2pi vbar - int_s^{2pi} v0 and 2pi = pi m^2 (cosh 2pi - 1),
+
+        G = pi m^2 vbar ((cosh 2pi - cosh s) + e^{-t}(cosh s - 1)) - int_s^{2pi} v0,
+
+    so G(t,2pi) = 2pi vbar e^{-t} to rounding.  The direct form leaves an
+    O(eps) remainder there that dX/ds ~ e^t and Y ~ e^t blow up at long times.
+    """
+
+    def __init__(self, ic: InitialCondition, s):
+        s = self.s = np.asarray(s, dtype=float)
+        self.vbar, self.pmv = ic.vbar, math.pi * m * m * ic.vbar
+        self.es1, self.es = np.expm1(s), np.exp(s)
+        self.gap = -E_2PI * np.expm1(s - TWO_PI)  # e^{2pi} - e^s, accurate at s ~ 2pi
+        self.cosh, self.sinh = np.cosh(s), np.sinh(s)
+        self.cosh_m1 = self.cosh - 1.0
+        self.cosh_gap = 2.0 * np.sinh(0.5 * (TWO_PI + s)) * np.sinh(0.5 * (TWO_PI - s))
+        self.right = s > math.pi
+        self.w0, self.tail = ic.antiderivative(s), ic.tail_integral(s)
+        self.v0, self.v0_s = ic.value(s), ic.slope(s)
+
+    def __call__(self, t: float) -> tuple:
+        """(X, dX/ds, Y, V, U, W) at time t, floats for a scalar s; G is the bracket above."""
+        _check_time(t)
+        decay = math.exp(-t)
+        a_den = self.gap + decay * self.es1
+        a_num = self.gap + math.exp(TWO_PI - t) * self.es1
+        Xs = (E_2PI - 1.0) ** 2 * np.exp(self.s - t) / (a_den * a_num)
+        ad = self.es * math.expm1(-t) / a_den
+        an = self.es * math.expm1(TWO_PI - t) / a_num
+        Y, Ys = 1.0 - ad - an, -ad * (1.0 - ad) - an * (1.0 - an)
+        fade = self.pmv * (-math.expm1(-t))
+        G = np.where(self.right, self.pmv * (self.cosh_gap + decay * self.cosh_m1) - self.tail,
+                     self.w0 - fade * self.cosh_m1)
+        Gs, Gss = self.v0 - fade * self.sinh, self.v0_s - fade * self.cosh
+        fields = (np.log(a_num / a_den), Xs, Y, Gs + G * Y, (Gss + Gs * Y + G * Ys) / Xs, Xs * G)
+        return tuple(map(float, fields)) if self.s.ndim == 0 else fields
+
+    def state(self, t: float) -> CharacteristicState:
+        X, Xs, _, V, U, W = self(t)
+        return CharacteristicState(t=t, s=self.s, X=X, V=V, W=W, U=U, J=Xs, vbar=self.vbar)
 
 
 def exact_characteristic(t: float, s):
@@ -79,76 +114,32 @@ def exact_characteristic(t: float, s):
     Endpoint limits: X(t,0) = 0, X(t,2pi) = 2pi, dX/ds = e^{-t} at s = 0 and
     e^{t} at s = 2pi.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    X, Xs, Y, _ = _char_internals(t, s)
-    scalar = np.ndim(s) == 0
-    return (float(X[()]), float(Xs[()]), float(Y[()])) if scalar and X.ndim == 0 \
-        else (X, Xs, Y)
-
-
-def _bracket(t, s, ic: InitialCondition):
-    """G and its first two s-derivatives.
-
-    On the right half G is taken from the s = 2pi end: with
-    w0 = 2pi vbar - int_s^{2pi} v0 and 2pi = pi m^2 (cosh 2pi - 1),
-
-        G = pi m^2 vbar ((cosh 2pi - cosh s) + e^{-t}(cosh s - 1)) - int_s^{2pi} v0,
-
-    so G(t,2pi) = 2pi vbar e^{-t} to rounding.  The direct form leaves an
-    O(eps) remainder there that dX/ds ~ e^t and Y ~ e^t blow up at long times.
-    """
-    s = np.asarray(s, dtype=float)
-    pmv = math.pi * m * m * ic.vbar
-    fade = pmv * (-math.expm1(-t))
-    cosh_s = np.cosh(s)
-    head = ic.antiderivative(s) - fade * (cosh_s - 1.0)
-    cosh_gap = 2.0 * np.sinh(0.5 * (TWO_PI + s)) * np.sinh(0.5 * (TWO_PI - s))
-    tail = pmv * (cosh_gap + math.exp(-t) * (cosh_s - 1.0)) - ic.tail_integral(s)
-    G = np.where(s > math.pi, tail, head)
-    Gs = ic.value(s) - fade * np.sinh(s)
-    Gss = ic.slope(s) - fade * cosh_s
-    return G, Gs, Gss
+    return ClosedForm(InitialCondition(), s)(t)[:3]
 
 
 def exact_w(t: float, s, ic: InitialCondition):
     """Closed-form W(t,s); W(t,0) = 0 and W(t,2pi) = 2*pi*vbar for all t."""
-    _, Xs, _, _ = _char_internals(t, s)
-    G, _, _ = _bracket(t, s, ic)
-    out = Xs * G
-    return float(out[()]) if np.ndim(s) == 0 else out
+    return ClosedForm(ic, s)(t)[5]
 
 
 def exact_v(t: float, s, ic: InitialCondition):
     """Closed-form V(t,s); both endpoints stay at v0(0) for all t."""
-    _, _, Y, _ = _char_internals(t, s)
-    G, Gs, _ = _bracket(t, s, ic)
-    out = Gs + G * Y
-    return float(out[()]) if np.ndim(s) == 0 else out
+    return ClosedForm(ic, s)(t)[3]
 
 
 def exact_u(t: float, s, ic: InitialCondition):
     """Closed-form slope U(t,s) = v_x along the characteristic."""
-    _, Xs, Y, Ys = _char_internals(t, s)
-    G, Gs, Gss = _bracket(t, s, ic)
-    out = (Gss + Gs * Y + G * Ys) / Xs
-    return float(out[()]) if np.ndim(s) == 0 else out
+    return ClosedForm(ic, s)(t)[4]
 
 
 def exact_state(t: float, ic: InitialCondition, n_chars: int = 256) -> CharacteristicState:
     """Assemble a full closed-form state on the cosine-stretched grid."""
-    s = cosine_grid(n_chars)
-    X, Xs, Y, Ys = _char_internals(t, s)
-    G, Gs, Gss = _bracket(t, s, ic)
-    return CharacteristicState(
-        t=t, s=s, X=X, V=Gs + G * Y, W=Xs * G,
-        U=(Gss + Gs * Y + G * Ys) / Xs, J=Xs, vbar=ic.vbar)
+    return ClosedForm(ic, cosine_grid(n_chars)).state(t)
 
 
 def peak_slopes_exact(t: float, ic: InitialCondition):
     """One-sided slopes at the peak: (right of peak, left of peak)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     drive = M * ic.v0_at_0 - math.pi * m * m * ic.vbar
     right = math.exp(t) * ic.v0_slope_right + drive * math.expm1(t)
     left = math.exp(-t) * ic.v0_slope_left + drive * (-math.expm1(-t))

@@ -71,6 +71,8 @@ class CharacteristicState:
         n = len(self.s)
         if any(len(a) != n for a in arrays):
             raise ValueError("state arrays must share one length")
+        if not (all(np.isfinite(a).all() for a in arrays) and math.isfinite(self.vbar)):
+            raise ValueError("state fields and vbar must be finite")
         if abs(self.X[0]) > atol or abs(self.X[-1] - TWO_PI) > atol:
             raise ValueError("characteristic endpoints must stay at 0 and 2*pi")
         if np.any(np.diff(self.X) <= 0):

@@ -1,6 +1,8 @@
 """The pair summary of scripts/bench_pairs.py: directions, wins and quartiles."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,17 @@ def test_outputs_identical_only_when_every_run_of_both_sides_has_one_digest():
     assert _outputs([["a", "b"]], [["a"]]) == "differ"  # the parent's own runs differ
     assert _outputs([["a"], ["a"]], [["a"], [None]]) == "unknown"  # a run without a digest
     assert _outputs([["a"]], [None]) == "unknown"  # a pair recorded without digests
+
+
+def test_src_lines_is_the_wc_total_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "peakonlab"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n\n")
+    (package / "b.py").write_text("z = 3\nlast line without newline")
+    (package / "notes.txt").write_text("not a module\n")
+    (package / "sub" / "c.py").write_text("not in the glob\n")
+    assert _script().src_lines(tmp_path) == 4
+    if shutil.which("wc"):
+        modules = sorted(str(p) for p in package.glob("*.py"))
+        wc = subprocess.run(["wc", "-l", *modules], capture_output=True, text=True, check=True)
+        assert int(wc.stdout.split()[-2]) == 4

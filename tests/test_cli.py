@@ -19,6 +19,7 @@ from peakonlab import cli, linear, nonlinear
 from peakonlab.cli import (ConfigError, ScenarioConfig, main, parse_config_file,
                            parse_ic_spec, read_state_csv, run_scenario)
 from peakonlab.kernel import M
+from peakonlab.profiles import InitialCondition
 from peakonlab.state import CharacteristicState
 
 TWO_PI = 2.0 * math.pi
@@ -479,6 +480,25 @@ def test_linear_exact_memory_does_not_grow_with_samples(tmp_path):
     few = _linear_exact_traced_peak(tmp_path / "few", 4)
     many = _linear_exact_traced_peak(tmp_path / "many", 32)
     assert many - few < 256 * 1024
+
+
+def test_linear_exact_evaluates_the_profile_once_per_pass(tmp_path, monkeypatch):
+    # one antiderivative for the t = 0 energies, then one per pass (check, then write),
+    # however many samples the run has
+    calls = []
+    antiderivative = InitialCondition.antiderivative
+
+    def counted(self, s):
+        calls.append(1)
+        return antiderivative(self, s)
+
+    monkeypatch.setattr(InitialCondition, "antiderivative", counted)
+    config = ScenarioConfig(mode="linear-exact", ic_spec="sin+0.5*cos3",
+                            t_samples=tuple(0.25 * i for i in range(20)), n_chars=64,
+                            out_dir=str(tmp_path / "once"))
+    assert run_scenario(config) == 0
+    assert len(list((tmp_path / "once").glob("state_*.csv"))) == 20
+    assert len(calls) == 3
 
 
 def test_linear_exact_writes_outside_any_errstate(tmp_path, monkeypatch):

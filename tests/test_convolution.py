@@ -46,6 +46,19 @@ def test_q_density_of_kernel_closed_form():
     assert np.allclose(q_density(sample), expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("which", ["nodes", "v", "vx"])
+def test_sample_rejects_non_finite_entries(which):
+    s = np.linspace(0.0, TWO_PI, 17)
+    fields = {"nodes": s, "v": np.sin(s), "vx": np.cos(s)}
+    fields[which] = fields[which].copy()
+    fields[which][5] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        DensitySample(**fields)
+    fields[which][5] = -math.inf
+    with pytest.raises(ValueError, match="finite"):
+        DensitySample(**fields)
+
+
 def test_sample_validation():
     s = np.linspace(0.0, TWO_PI, 17)
     with pytest.raises(ValueError):

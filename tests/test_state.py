@@ -42,6 +42,20 @@ def test_initial_state_with_bump_carries_one_sided_slopes():
     assert st.W[-1] == pytest.approx(TWO_PI * st.vbar, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad_value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["s", "X", "V", "W", "U", "J", "vbar"])
+def test_validate_rejects_non_finite_fields(field, bad_value):
+    # an interior entry, where no endpoint identity would catch it
+    st = initial_state(sine(), 32)
+    st.validate()
+    if field == "vbar":
+        st.vbar = bad_value
+    else:
+        getattr(st, field)[7] = bad_value
+    with pytest.raises(ValueError, match="finite"):
+        st.validate()
+
+
 def test_validate_rejects_broken_states():
     st = initial_state(sine(), 32)
     bad = CharacteristicState(t=0.0, s=st.s, X=st.X[::-1].copy(), V=st.V, W=st.W,
