@@ -15,8 +15,9 @@ Configuration is a flat key=value text file plus command-line overrides
 threshold, out, a, c; a mode line must name the command it is given to.
 The initial condition grammar is '+'-joined terms "[coef*]sin[k]",
 "[coef*]cos[k]", or a bare number for a constant offset, e.g.
-ic = 0.5*sin + 0.25*cos3 + 0.1.  Every number must be finite (no nan, inf
-or overflowing literal), in flags, config lines and ic coefficients alike.
+ic = 0.5*sin + 0.25*cos3 + 0.1; spaces may stand only around '+' and '*'.
+Every number must be finite (no nan, inf or overflowing literal), in flags,
+config lines and ic coefficients alike.
 
 Each trajectory mode writes one CSV per requested time with columns
 (s, X, V, U, W), the fundamental data duplicated at a -2*pi shift so plots
@@ -113,7 +114,8 @@ def parse_ic_spec(spec: str):
     spec = spec.strip()
     if spec in ("", "0", "zero"):
         return 0.0, (), ()
-    for raw in _TERM_SEP.split(spec.replace(" ", "")):
+    for raw in _TERM_SEP.split(spec):
+        raw = re.sub(r"\s*\*\s*", "*", raw.strip())  # any other space fails to parse
         if not raw:
             raise ConfigError(f"ic: empty term in {spec!r}")
         mobj = _TERM.match(raw)
@@ -323,14 +325,14 @@ def run_scenario(config: ScenarioConfig) -> int:
                                        n_chars=config.n_chars,
                                        save_times=config.t_samples)
     elif config.mode == "nonlinear":
-        traj, blowup = nonlinear.integrate_nonlinear(
+        traj = nonlinear.integrate_nonlinear(
             ic, config.t_samples[-1], dt=config.dt, n_chars=config.n_chars,
             slope_threshold=config.slope_threshold, save_times=config.t_samples)
-        lines.append(f"blowup_status={blowup.status}")
-        lines.append(f"blowup_t_stop={_fmt(blowup.t_stop)}")
-        lines.append(f"blowup_max_abs_slope={_fmt(blowup.max_abs_slope)}")
-        if blowup.status == "blew_up":
-            forcing = nonlinear.measured_forcing_bound(traj, blowup)
+        lines.append(f"blowup_status={traj.status}")
+        lines.append(f"blowup_t_stop={_fmt(traj.t_stop)}")
+        lines.append(f"blowup_max_abs_slope={_fmt(traj.max_abs_slope)}")
+        if traj.status == "blew_up":
+            forcing = nonlinear.measured_forcing_bound(traj)
             bound = nonlinear.riccati_bound(traj.diag_u_right[0], forcing)
             lines.append(f"blowup_measured_forcing={_fmt(forcing)}")
             lines.append(f"blowup_riccati_bound={_fmt(bound) if math.isfinite(bound) else 'inf'}")

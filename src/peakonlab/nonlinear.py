@@ -57,22 +57,14 @@ class StateDerivative:
     dJ: np.ndarray
 
 
-@dataclass(frozen=True)
-class BlowupReport:
-    """Outcome of a nonlinear run.
+@dataclass
+class NonlinearTrajectory:
+    """Outcome of a nonlinear run: saved states, dense per-step peak diagnostics, and
+    how the run ended.
 
     When breaking is detected, max_abs_slope is at least the threshold
     (infinite if the state left the reals inside one step).
     """
-
-    status: str  # "completed" | "blew_up"
-    t_stop: float
-    max_abs_slope: float
-
-
-@dataclass
-class NonlinearTrajectory:
-    """Saved states plus dense per-step peak diagnostics."""
 
     states: list
     diag_t: np.ndarray
@@ -81,6 +73,9 @@ class NonlinearTrajectory:
     diag_u_right: np.ndarray
     diag_u_left: np.ndarray
     vbar: float
+    status: str  # "completed" | "blew_up"
+    t_stop: float
+    max_abs_slope: float
 
 
 def _peak_forcing(v_peak, p0, pmv: float):
@@ -131,7 +126,7 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     above ``slope_threshold``, or a non-finite state).  t_end and the save
     times must be whole numbers of steps.  Returns the trajectory (states at
     the requested save times that were reached, dense peak diagnostics every
-    step) and a :class:`BlowupReport`.
+    step, and the run's status, stop time and largest slope).
     """
     if slope_threshold <= 0:
         raise ValueError("slope_threshold must be positive")
@@ -147,19 +142,15 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
         stop=lambda Z: slopes.append(float(np.abs(Z[3]).max())) or slopes[-1] >= slope_threshold,
         record=lambda t, Z, p0: rows.append((t, Z[2, 0], p0, Z[3, 0], Z[3, -1])))
     diag_t, v_peak, p0, u_right, u_left = np.array(rows).T
-    # a non-finite step means the slope was unbounded within it
-    report = BlowupReport(
+    return NonlinearTrajectory(
+        states=[start.unstack(Z, t) for t, Z in saved], diag_t=diag_t, diag_v_peak=v_peak,
+        diag_p0=p0, diag_u_right=u_right, diag_u_left=u_left, vbar=ic.vbar,
         status="completed" if outcome == "completed" else "blew_up", t_stop=t_stop,
+        # a non-finite step means the slope was unbounded within it
         max_abs_slope=math.inf if outcome == "non-finite" else max(slopes))
-    states = [start.unstack(Z, t) for t, Z in saved]
-    traj = NonlinearTrajectory(states=states, diag_t=diag_t, diag_v_peak=v_peak,
-                               diag_p0=p0, diag_u_right=u_right, diag_u_left=u_left,
-                               vbar=ic.vbar)
-    return traj, report
 
 
-def measured_forcing_bound(trajectory: NonlinearTrajectory,
-                           report: BlowupReport) -> float:
+def measured_forcing_bound(trajectory: NonlinearTrajectory) -> float:
     """Largest forcing bracket seen while the run still resolved the flow.
 
     When breaking was detected, the record taken at the stopping step is
@@ -171,8 +162,8 @@ def measured_forcing_bound(trajectory: NonlinearTrajectory,
     """
     bracket = _peak_forcing(trajectory.diag_v_peak, trajectory.diag_p0,
                             math.pi * m * m * trajectory.vbar)
-    if report.status == "blew_up":
-        bracket = bracket[trajectory.diag_t < report.t_stop]
+    if trajectory.status == "blew_up":
+        bracket = bracket[trajectory.diag_t < trajectory.t_stop]
     if bracket.size == 0:
         return 0.0
     return max(0.0, float(np.max(bracket)))
@@ -217,6 +208,8 @@ def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
 
 
 def _riccati_roots(forcing: float):
+    if forcing < 0:
+        raise ValueError("forcing must be nonnegative")
     root = math.sqrt(1.0 + 2.0 * forcing)
     return 1.0 + root, 1.0 - root  # r_plus, r_minus (negative equilibrium)
 
@@ -231,8 +224,6 @@ def riccati_bound(u0: float, forcing: float) -> float:
     where r+- = 1 +- sqrt(1 + 2 forcing) are the equilibria; infinite when
     u0 >= r- (the negative root, which lies in (-forcing, 0)).
     """
-    if forcing < 0:
-        raise ValueError("forcing must be nonnegative")
     r_plus, r_minus = _riccati_roots(forcing)
     if u0 >= r_minus:
         return math.inf
@@ -246,8 +237,6 @@ def riccati_supersolution(u0: float, forcing: float, t):
     Valid for t below the escape time when u0 lies under the negative
     equilibrium.  Vectorized over t.
     """
-    if forcing < 0:
-        raise ValueError("forcing must be nonnegative")
     r_plus, r_minus = _riccati_roots(forcing)
     t = np.asarray(t, dtype=float)
     ratio0 = (u0 - r_plus) / (u0 - r_minus)

@@ -140,10 +140,10 @@ def test_criterion_07_h1_growth_law():
 
 def test_criterion_08_nonlinear_conservation():
     t0 = time.perf_counter()
-    traj, rep = nonlinear.integrate_nonlinear(
+    traj = nonlinear.integrate_nonlinear(
         sine(0.01), 2.0, dt=5e-4, n_chars=512,
         save_times=[0.0, 0.5, 1.0, 1.5, 2.0])
-    assert rep.status == "completed"
+    assert traj.status == "completed"
     drifts = check_conserved([energies(st) for st in traj.states])
     elapsed = time.perf_counter() - t0
     # vbar is checked absolutely: the sine profile has exactly zero mean
@@ -160,7 +160,7 @@ def test_criterion_09_small_amplitude_consistency():
     eps_list = (1e-2, 5e-3, 2.5e-3)
     devs = []
     for eps in eps_list:
-        traj, _ = nonlinear.integrate_nonlinear(sine(eps), 1.0, dt=1e-3,
+        traj = nonlinear.integrate_nonlinear(sine(eps), 1.0, dt=1e-3,
                                                 n_chars=256, save_times=[1.0])
         st = traj.states[-1]
         lin = eps * np.asarray(linear.exact_v(1.0, st.s, sine()))
@@ -174,21 +174,21 @@ def test_criterion_09_small_amplitude_consistency():
 
 
 def test_criterion_10_instability_and_breaking(breaking_run):
-    ic, traj, rep, run_s = breaking_run
+    ic, traj, run_s = breaking_run
     t0 = time.perf_counter()
     budget = ic.h1_norm() + abs(ic.v0_slope_right)
     crossed = traj.diag_t[np.abs(traj.diag_u_right) >= 1.0]
-    forcing = nonlinear.measured_forcing_bound(traj, rep)
+    forcing = nonlinear.measured_forcing_bound(traj)
     bound = nonlinear.riccati_bound(traj.diag_u_right[0], forcing)
     elapsed = run_s + time.perf_counter() - t0
     ok = (abs(budget - 0.01) < 1e-6
           and len(crossed) > 0
-          and rep.status == "blew_up" and rep.max_abs_slope >= 1e6
-          and crossed[0] < rep.t_stop
+          and traj.status == "blew_up" and traj.max_abs_slope >= 1e6
+          and crossed[0] < traj.t_stop
           and math.isfinite(bound)
-          and rep.t_stop <= bound + 5e-4)
+          and traj.t_stop <= bound + 5e-4)
     report(10, "instability reaches slope 1, then finite-time breaking", ok,
-           f"|slope|>=1 at t={crossed[0]:.3f}, stop t={rep.t_stop:.4f} <= "
+           f"|slope|>=1 at t={crossed[0]:.3f}, stop t={traj.t_stop:.4f} <= "
            f"supersolution bound {bound:.4f} + dt, {elapsed:.0f}s")
 
 

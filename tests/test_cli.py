@@ -64,6 +64,10 @@ def test_parse_ic_spec_errors():
     for spec in ("1e400*sin", "inf", "-inf", "nan", "1e308*cos+1e308*cos", "1e308+1e308"):
         with pytest.raises(ConfigError, match="finite"):
             parse_ic_spec(spec)
+    # a space inside a term is not deleted, so digits are never joined across it
+    for spec, term in (("1 2", "1 2"), ("sin 1 0", "sin 1 0"), ("0.5*sin 3", "0.5*sin 3")):
+        with pytest.raises(ConfigError, match=re.escape(f"cannot parse term {term!r}")):
+            parse_ic_spec(spec)
 
 
 def test_parse_ic_spec_bad_coefficient_names_term():
@@ -95,6 +99,9 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
         parse_config_file(str(cfg))
     cfg.write_text("ic = sin\nt = 0,1,\n")
     with pytest.raises(ConfigError, match="bad.cfg:2: bad value for 't'"):
+        parse_config_file(str(cfg))
+    cfg.write_text("ic = sin\nnchars 32\n")
+    with pytest.raises(ConfigError, match="bad.cfg:2: expected key=value"):
         parse_config_file(str(cfg))
 
 
@@ -137,6 +144,10 @@ def test_scenario_validation():
         ScenarioConfig(n_chars=4).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(mode="classify", c=-2.0).validate()
+    with pytest.raises(ConfigError, match="t: sample times must be nonnegative"):
+        ScenarioConfig(t_samples=(-1.0, 0.0)).validate()
+    with pytest.raises(ConfigError, match="threshold must be positive"):
+        ScenarioConfig(slope_threshold=0.0).validate()
 
 
 # ------------------------------------------------------------------ outputs
@@ -455,7 +466,7 @@ def test_run_scenario_csvs_match_savetxt_of_library_states(tmp_path, mode):
                                          save_times=config.t_samples).states
     else:
         states = nonlinear.integrate_nonlinear(ic, 0.1, dt=0.01, n_chars=32,
-                                               save_times=config.t_samples)[0].states
+                                               save_times=config.t_samples).states
     assert len(states) == 3
     for i, st in enumerate(states):
         written = (tmp_path / mode / f"state_{i:02d}.csv").read_bytes()
@@ -517,10 +528,23 @@ def test_linear_exact_writes_outside_any_errstate(tmp_path, monkeypatch):
     assert seen == ["warn"] * 3
 
 
-def test_unwritable_output_dir_reported():
-    config = ScenarioConfig(mode="classify", out_dir="/proc/definitely/not/writable")
+def test_unwritable_output_dir_reported(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = ScenarioConfig(mode="classify", out_dir=str(blocker / "out"))
     with pytest.raises(ConfigError):
         run_scenario(config)
+
+
+def test_python_m_peakonlab_exit_codes(tmp_path):
+    # __main__ hands main's code to the process: 2 on breaking, 1 on a usage error
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for args, code in ((["nonlinear", "--ic", "", "--bump", "-0.5", "--t", "0,6", "--dt", "1e-2",
+                         "--nchars", "32", "--out", str(tmp_path / "brk")], 2),
+                       (["nonlinear", "--dt", "abc", "--out", str(tmp_path / "bad")], 1)):
+        proc = subprocess.run([sys.executable, "-m", "peakonlab", *args], capture_output=True,
+                              env=env, timeout=120)
+        assert proc.returncode == code
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):

@@ -67,6 +67,8 @@ def test_sample_validation():
         DensitySample(nodes=s + 0.1, v=np.zeros(17), vx=np.zeros(17))
     with pytest.raises(ValueError):
         DensitySample(nodes=[0.0, TWO_PI], v=np.zeros(2), vx=np.zeros(2))
+    with pytest.raises(ValueError, match="nodes must be strictly increasing"):
+        DensitySample(nodes=[0.0, 2.0, 1.0, TWO_PI], v=np.zeros(4), vx=np.zeros(4))
     with pytest.raises(ValueError):
         conv_q(DensitySample(nodes=s, v=np.zeros(17), vx=np.zeros(17)), [])
 

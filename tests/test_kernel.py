@@ -83,6 +83,14 @@ def test_stationary_residual_rejects_corner():
         kernel.stationary_residual(math.pi, 32)
 
 
+def test_circle_convolution_validation():
+    one, zero = np.ones_like, np.zeros_like
+    with pytest.raises(ValueError, match="unknown kernel"):
+        kernel.circle_convolution("psi", one, zero, 1.0, 64)
+    with pytest.raises(ValueError, match="nodes must be >= 8"):
+        kernel.circle_convolution("phi", one, zero, 1.0, 7)
+
+
 def test_convolution_with_unit_density():
     # int_T phi = 2: the kernel integrates to twice the delta mass
     val = kernel.circle_convolution(

@@ -216,6 +216,8 @@ def test_save_time_validation():
         integrate_linear(sine(), 1.0, dt=-1e-2, n_chars=32)
     with pytest.raises(ValueError):
         integrate_linear(sine(), 1.0, dt=1e-2, n_chars=4)
+    with pytest.raises(ValueError, match="t_end must be nonnegative"):
+        integrate_linear(sine(), -1.0, dt=0.5)
     # times that are not whole steps are rejected, not snapped
     with pytest.raises(ValueError, match="whole number of steps"):
         integrate_linear(sine(), 1.0, dt=0.3, n_chars=32)

@@ -87,9 +87,9 @@ def test_rhs_local_terms_match_the_linearized_field_bitwise():
 # ------------------------------------------------------------ integration
 
 def test_zero_profile_integrates_along_exact_characteristics():
-    traj, report = integrate_nonlinear(InitialCondition(), 1.0, dt=1e-3,
-                                       n_chars=128, save_times=[1.0])
-    assert report.status == "completed"
+    traj = integrate_nonlinear(InitialCondition(), 1.0, dt=1e-3,
+                               n_chars=128, save_times=[1.0])
+    assert traj.status == "completed"
     st = traj.states[-1]
     X, Xs, _ = linear.exact_characteristic(1.0, st.s)
     assert np.max(np.abs(st.X - X)) < 1e-8
@@ -101,8 +101,8 @@ def test_small_amplitude_deviation_scales_quadratically():
     devs = []
     eps_list = (1e-2, 5e-3, 2.5e-3)
     for eps in eps_list:
-        traj, _ = integrate_nonlinear(sine(eps), 1.0, dt=1e-3, n_chars=128,
-                                      save_times=[1.0])
+        traj = integrate_nonlinear(sine(eps), 1.0, dt=1e-3, n_chars=128,
+                                   save_times=[1.0])
         st = traj.states[-1]
         lin = eps * np.asarray(linear.exact_v(1.0, st.s, sine()))
         devs.append(np.max(np.abs(st.V - lin)))
@@ -113,8 +113,8 @@ def test_small_amplitude_deviation_scales_quadratically():
 
 
 def test_state_invariants_and_jacobian_consistency():
-    traj, _ = integrate_nonlinear(sine(0.05), 1.5, dt=1e-3, n_chars=256,
-                                  save_times=[0.75, 1.5])
+    traj = integrate_nonlinear(sine(0.05), 1.5, dt=1e-3, n_chars=256,
+                               save_times=[0.75, 1.5])
     for st in traj.states:
         st.validate(atol=1e-9)
         # J matches centered differences of X in s at second order
@@ -126,8 +126,8 @@ def test_state_invariants_and_jacobian_consistency():
 
 def test_mean_conserved_nonlinearly():
     ic = InitialCondition(sine_coeffs=(0.05,), bump_amplitude=0.02)
-    traj, _ = integrate_nonlinear(ic, 1.0, dt=1e-3, n_chars=256,
-                                  save_times=[0.0, 0.5, 1.0])
+    traj = integrate_nonlinear(ic, 1.0, dt=1e-3, n_chars=256,
+                               save_times=[0.0, 0.5, 1.0])
     reports = [energies(st) for st in traj.states]
     drift = check_conserved(reports)["vbar"]["abs"]
     assert drift < 1e-6
@@ -140,7 +140,7 @@ def test_rk4_self_convergence_order():
     ic = sine(0.5)
     sols = {}
     for dt in (4e-2, 2e-2, 1e-2):
-        traj, _ = integrate_nonlinear(ic, 1.0, dt=dt, n_chars=64, save_times=[1.0])
+        traj = integrate_nonlinear(ic, 1.0, dt=dt, n_chars=64, save_times=[1.0])
         sols[dt] = traj.states[-1].V
     e1 = np.max(np.abs(sols[4e-2] - sols[2e-2]))
     e2 = np.max(np.abs(sols[2e-2] - sols[1e-2]))
@@ -148,8 +148,8 @@ def test_rk4_self_convergence_order():
 
 
 def test_energy_conservation_small_amplitude():
-    traj, _ = integrate_nonlinear(sine(0.01), 2.0, dt=5e-4, n_chars=512,
-                                  save_times=[0.0, 0.5, 1.0, 1.5, 2.0])
+    traj = integrate_nonlinear(sine(0.01), 2.0, dt=5e-4, n_chars=512,
+                               save_times=[0.0, 0.5, 1.0, 1.5, 2.0])
     reports = [energies(st) for st in traj.states]
     drifts = check_conserved(reports)
     assert drifts["E_u"]["rel"] < 1e-5
@@ -168,12 +168,12 @@ def test_one_convolution_per_rhs_stage(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(nonlinear, "node_convolutions", counted)
-    _, report = integrate_nonlinear(sine(0.01), 0.05, dt=1e-2, n_chars=32)
-    assert report.status == "completed" and len(calls) == 4 * 5 + 1
+    run = integrate_nonlinear(sine(0.01), 0.05, dt=1e-2, n_chars=32)
+    assert run.status == "completed" and len(calls) == 4 * 5 + 1
     calls.clear()
-    _, report = integrate_nonlinear(bump(-0.5), 6.0, dt=1e-2, n_chars=32)
-    steps = round(report.t_stop / 1e-2)
-    assert report.status == "blew_up" and 0 < steps < 600
+    run = integrate_nonlinear(bump(-0.5), 6.0, dt=1e-2, n_chars=32)
+    steps = round(run.t_stop / 1e-2)
+    assert run.status == "blew_up" and 0 < steps < 600
     assert len(calls) == 4 * steps + 1
 
 
@@ -264,8 +264,8 @@ def test_integrate_nonlinear_builds_one_workspace_that_dies_with_the_run(monkeyp
     workspaces, grids = _track(monkeypatch, StageWorkspace), _track(monkeypatch, Grid)
     for ic, t_end, status in ((sine(0.01), 0.05, "completed"), (bump(-0.5), 6.0, "blew_up")):
         workspaces.clear()
-        _, report = integrate_nonlinear(ic, t_end, dt=1e-2, n_chars=32, save_times=[0.0])
-        assert report.status == status and len(workspaces) == 1 and grids
+        run = integrate_nonlinear(ic, t_end, dt=1e-2, n_chars=32, save_times=[0.0])
+        assert run.status == status and len(workspaces) == 1 and grids
         assert _all_dead(workspaces) and _all_dead(grids)
     energies(initial_state(sine(0.01), 32))  # runs no stage, so builds no workspace
     assert len(workspaces) == 1
@@ -307,9 +307,9 @@ def test_max_abs_slope_is_the_largest_slope_of_every_state():
     dt = 1e-2
     for ic, t_end, status in ((sine(0.3), 0.2, "completed"), (bump(-0.5), 6.0, "blew_up")):
         times = [k * dt for k in range(round(t_end / dt) + 1)]
-        traj, report = integrate_nonlinear(ic, t_end, dt=dt, n_chars=32, save_times=times)
-        assert report.status == status and report.t_stop == traj.states[-1].t
-        assert report.max_abs_slope == max(float(np.max(np.abs(s.U))) for s in traj.states)
+        traj = integrate_nonlinear(ic, t_end, dt=dt, n_chars=32, save_times=times)
+        assert traj.status == status and traj.t_stop == traj.states[-1].t
+        assert traj.max_abs_slope == max(float(np.max(np.abs(s.U))) for s in traj.states)
         assert len(traj.states) == len(traj.diag_t)
 
 
@@ -327,13 +327,15 @@ def test_input_validation():
         integrate_nonlinear(sine(), 1.0, dt=0.3, n_chars=64)
     with pytest.raises(ValueError, match="whole number of steps"):
         integrate_nonlinear(sine(), 1.0, dt=0.25, n_chars=64, save_times=[0.3])
+    with pytest.raises(ValueError, match="trajectory too short for a forecast"):
+        peak_slope_forecast(0.0, 0.0, integrate_nonlinear(sine(), 0.0, dt=1e-2, n_chars=32))
 
 
 # ------------------------------------------------------- peak slope forecast
 
 def test_peak_slope_forecast_zero_state():
-    traj, _ = integrate_nonlinear(InitialCondition(), 0.5, dt=1e-3, n_chars=64,
-                                  save_times=[0.5])
+    traj = integrate_nonlinear(InitialCondition(), 0.5, dt=1e-3, n_chars=64,
+                               save_times=[0.5])
     res_r, res_l = peak_slope_forecast(0.0, 0.0, traj)
     assert res_r == 0.0 and res_l == 0.0
     # dU/dt = U - U^2/2 escapes from U(0) = -1e3 within t ~ 2e-3
@@ -342,7 +344,7 @@ def test_peak_slope_forecast_zero_state():
 
 def test_peak_slope_forecast_small_sine():
     ic = sine(0.05)
-    traj, _ = integrate_nonlinear(ic, 1.0, dt=1e-3, n_chars=256, save_times=[1.0])
+    traj = integrate_nonlinear(ic, 1.0, dt=1e-3, n_chars=256, save_times=[1.0])
     res_r, res_l = peak_slope_forecast(ic.v0_slope_right, ic.v0_slope_left, traj)
     assert res_r < 5e-3
     assert res_l < 5e-3
@@ -351,8 +353,8 @@ def test_peak_slope_forecast_small_sine():
 def test_peak_slope_forecast_ignores_non_finite_stop_row():
     # the stop state of this breaking run overflows the convolution: P(0) is nan
     ic = bump(-0.5)
-    traj, report = integrate_nonlinear(ic, 6.0, dt=1e-2, n_chars=32)
-    assert report.status == "blew_up" and np.isnan(traj.diag_p0[-1])
+    traj = integrate_nonlinear(ic, 6.0, dt=1e-2, n_chars=32)
+    assert traj.status == "blew_up" and np.isnan(traj.diag_p0[-1])
     trimmed = dataclasses.replace(traj, **{name: getattr(traj, name)[:-1] for name in (
         "diag_t", "diag_v_peak", "diag_p0", "diag_u_right", "diag_u_left")})
     full = peak_slope_forecast(ic.v0_slope_right, ic.v0_slope_left, traj)
@@ -365,7 +367,7 @@ def test_peak_slope_scalar_system_reduces_to_linear_laws():
     # for small data the full forecast stays near the linear slope laws
     eps = 1e-3
     ic = sine(eps)
-    traj, _ = integrate_nonlinear(ic, 2.0, dt=1e-3, n_chars=128, save_times=[2.0])
+    traj = integrate_nonlinear(ic, 2.0, dt=1e-3, n_chars=128, save_times=[2.0])
     right, left = linear.peak_slopes_exact(2.0, ic)
     assert traj.diag_u_right[-1] == pytest.approx(right, rel=5e-3)
     # the left slope decays to ~eps*e^-t, so the quadratic remainder is
@@ -408,6 +410,8 @@ def test_riccati_supersolution_closed_form():
     assert np.max(np.abs(resid[1:-1])) < 2e-4
     with pytest.raises(ValueError):
         riccati_bound(-1.0, -0.2)
+    with pytest.raises(ValueError):
+        riccati_supersolution(0.0, -0.1, 1.0)
 
 
 def test_doubled_root_start_blows_up_no_later_than_bound():
@@ -422,21 +426,21 @@ def test_doubled_root_start_blows_up_no_later_than_bound():
 # ------------------------------------------------------------------ breaking
 
 def test_breaking_detected(breaking_run):
-    _, traj, report, _ = breaking_run
-    assert report.status == "blew_up"
-    assert report.max_abs_slope >= 1e6
-    assert report.t_stop < 20.0
+    _, traj, _ = breaking_run
+    assert traj.status == "blew_up"
+    assert traj.max_abs_slope >= 1e6
+    assert traj.t_stop < 20.0
     # the slope passed 1 well before the threshold stop
     crossed = traj.diag_t[np.abs(traj.diag_u_right) >= 1.0]
-    assert len(crossed) > 0 and crossed[0] < report.t_stop
+    assert len(crossed) > 0 and crossed[0] < traj.t_stop
 
 
 def test_breaking_bounded_by_riccati_comparison(breaking_run):
-    _, traj, report, _ = breaking_run
-    forcing = nonlinear.measured_forcing_bound(traj, report)
+    _, traj, _ = breaking_run
+    forcing = nonlinear.measured_forcing_bound(traj)
     bound = riccati_bound(traj.diag_u_right[0], forcing)
     assert math.isfinite(bound)
-    assert report.t_stop <= bound + 5e-4
+    assert traj.t_stop <= bound + 5e-4
     # pointwise comparison: the supersolution dominates the measured slope
     mask = traj.diag_t < bound
     super_u = riccati_supersolution(traj.diag_u_right[0], forcing, traj.diag_t[mask])
@@ -444,23 +448,27 @@ def test_breaking_bounded_by_riccati_comparison(breaking_run):
 
 
 def test_forcing_bound_excludes_post_threshold_record(breaking_run):
-    _, traj, report, _ = breaking_run
+    _, traj, _ = breaking_run
     # the raw bracket at the stopping step is meaningless (overshoot state);
     # the resolved-phase bound must stay at the small-perturbation scale
-    bound = nonlinear.measured_forcing_bound(traj, report)
+    bound = nonlinear.measured_forcing_bound(traj)
     assert bound < 1e-3
 
 
 def test_nonfinite_stop_reports_unbounded_slope():
     # with the threshold out of reach the fixed-step scheme eventually
-    # leaves the reals; the report still flags breaking, with infinite slope
+    # leaves the reals; the run still reports breaking, with infinite slope
     ic = steepest_budget_bump(0.2)
-    traj, report = integrate_nonlinear(ic, 20.0, dt=5e-3, n_chars=32,
-                                       slope_threshold=1e300, save_times=[0.0])
-    assert report.status == "blew_up"
-    assert report.max_abs_slope == math.inf
-    assert report.t_stop < 20.0
+    traj = integrate_nonlinear(ic, 20.0, dt=5e-3, n_chars=32,
+                               slope_threshold=1e300, save_times=[0.0])
+    assert traj.status == "blew_up"
+    assert traj.max_abs_slope == math.inf
+    assert traj.t_stop < 20.0
     assert np.all(np.isfinite(traj.diag_u_right))
+    # this one leaves the reals in its first step, so no record bounds the forcing
+    traj = integrate_nonlinear(bump(-1e160), 1.0, dt=1e-2, n_chars=32)
+    assert (traj.status, traj.t_stop, traj.max_abs_slope) == ("blew_up", 0.0, math.inf)
+    assert nonlinear.measured_forcing_bound(traj) == 0.0
 
 
 # -------------------------------------------------------------- reconstruct
@@ -476,8 +484,8 @@ def test_reconstruct_zero_perturbation_gives_wave():
 def test_reconstruct_peak_location_and_speed():
     # the crest stays on the s = 0 characteristic and the crest of the pure
     # wave moves with speed u(peak) = M
-    traj, _ = integrate_nonlinear(sine(0.05), 1.0, dt=1e-3, n_chars=256,
-                                  save_times=[1.0])
+    traj = integrate_nonlinear(sine(0.05), 1.0, dt=1e-3, n_chars=256,
+                               save_times=[1.0])
     st = traj.states[-1]
     x = np.linspace(0.0, TWO_PI, 2001)
     u, rate = reconstruct_u(st, x)

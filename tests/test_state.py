@@ -1,5 +1,6 @@
 """Characteristic-state construction and invariant validation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -70,6 +71,16 @@ def test_validate_rejects_broken_states():
                               U=st.U, J=st.J * 0.0, vbar=st.vbar)
     with pytest.raises(ValueError):
         bad.validate()
+    X, W, V = st.X.copy(), st.W.copy(), st.V.copy()
+    X[[7, 8]] = X[[8, 7]]  # a reversed X would trip the endpoint check first
+    W[-1] += 1.0
+    V[-1] += 1.0
+    for fields, message in (({"V": st.V[:-1]}, "state arrays must share one length"),
+                            ({"X": X}, "X must be strictly increasing in s"),
+                            ({"W": W}, r"W\(2\*pi\) must equal 2\*pi\*vbar"),
+                            ({"V": V}, "peak value must match at both endpoints")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(st, **fields).validate()
 
 
 def test_grid_size_guard():
@@ -172,8 +183,8 @@ _PROFILES = hst.one_of(
 def test_integrated_states_keep_invariants(ic, n_chars, steps, dt):
     t_end = steps * dt
     linear_run = integrate_linear(ic, t_end, dt=dt, n_chars=n_chars)
-    nonlinear_run, report = integrate_nonlinear(ic, t_end, dt=dt, n_chars=n_chars)
-    assert report.status == "completed"
+    nonlinear_run = integrate_nonlinear(ic, t_end, dt=dt, n_chars=n_chars)
+    assert nonlinear_run.status == "completed"
     for st in (linear_run.states[-1], nonlinear_run.states[-1]):
         assert st.t == steps * dt
         st.validate()
