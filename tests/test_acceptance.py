@@ -161,7 +161,7 @@ def test_criterion_09_small_amplitude_consistency():
     devs = []
     for eps in eps_list:
         traj = nonlinear.integrate_nonlinear(sine(eps), 1.0, dt=1e-3,
-                                                n_chars=256, save_times=[1.0])
+                                             n_chars=256, save_times=[1.0])
         st = traj.states[-1]
         lin = eps * np.asarray(linear.exact_v(1.0, st.s, sine()))
         devs.append(float(np.max(np.abs(st.V - lin))))

@@ -65,8 +65,8 @@ def test_parse_ic_spec_errors():
         with pytest.raises(ConfigError, match="finite"):
             parse_ic_spec(spec)
     # a space inside a term is not deleted, so digits are never joined across it
-    for spec, term in (("1 2", "1 2"), ("sin 1 0", "sin 1 0"), ("0.5*sin 3", "0.5*sin 3")):
-        with pytest.raises(ConfigError, match=re.escape(f"cannot parse term {term!r}")):
+    for spec in ("1 2", "sin 1 0", "0.5*sin 3"):
+        with pytest.raises(ConfigError, match=re.escape(f"cannot parse term {spec!r}")):
             parse_ic_spec(spec)
 
 
