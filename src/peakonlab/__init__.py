@@ -7,7 +7,7 @@ from .linear import (H1ForecastConstants, IntegrationError, LinearTrajectory,
                      exact_characteristic, exact_state, exact_u, exact_v, exact_w, h1_constants,
                      integrate_linear, peak_slopes_exact)
 from .nonlinear import (NonlinearTrajectory, integrate_nonlinear, measured_forcing_bound, nl_rhs,
-                        peak_slope_forecast, reconstruct_u, riccati_bound, riccati_supersolution)
+                        reconstruct_u, riccati_bound, riccati_supersolution)
 from .profiles import InitialCondition, bump, cosine, sine, steepest_budget_bump
 from .state import CharacteristicState, cosine_grid, initial_state
 from .waves import ClassificationError, WaveFamily, classify, first_order_residual, peaked_member
@@ -22,7 +22,7 @@ __all__ = [
     "H1ForecastConstants", "h1_constants",
     "EnergyReport", "energies", "check_conserved", "E_PHI", "F_PHI",
     "NonlinearTrajectory", "nl_rhs", "integrate_nonlinear",
-    "peak_slope_forecast", "riccati_bound", "riccati_supersolution", "reconstruct_u", "measured_forcing_bound",
+    "riccati_bound", "riccati_supersolution", "reconstruct_u", "measured_forcing_bound",
     "WaveFamily", "classify", "peaked_member", "first_order_residual", "ClassificationError",
 ]
 

@@ -96,7 +96,9 @@ class ScenarioConfig:
                 raise ConfigError("c must be positive")
 
 
-_TERM = re.compile(r"^(?:([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*)?(sin|cos)(\d+)?$")
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # ASCII digits only
+_TERM = re.compile(rf"(?:({_NUMBER})\*)?(sin|cos)([0-9]+)?")
+_CONSTANT = re.compile(rf"{_NUMBER}|[+-]?(?i:inf|infinity|nan)")  # inf, nan: refused as not finite
 _TERM_SEP = re.compile(r"(?<![eE])\+")  # a '+' after e/E is an exponent sign
 
 
@@ -118,7 +120,7 @@ def parse_ic_spec(spec: str):
         raw = re.sub(r"\s*\*\s*", "*", raw.strip())  # any other space fails to parse
         if not raw:
             raise ConfigError(f"ic: empty term in {spec!r}")
-        mobj = _TERM.match(raw)
+        mobj = _TERM.fullmatch(raw)
         if mobj:
             coef = float(mobj.group(1)) if mobj.group(1) else 1.0
             k = int(mobj.group(3)) if mobj.group(3) else 1
@@ -126,10 +128,9 @@ def parse_ic_spec(spec: str):
                 raise ConfigError(f"ic: harmonic index must be >= 1 in {raw!r}")
             put(cos_c if mobj.group(2) == "cos" else sin_c, k, coef)
             continue
-        try:
-            constant += float(raw)
-        except ValueError:
-            raise ConfigError(f"ic: cannot parse term {raw!r}") from None
+        if not _CONSTANT.fullmatch(raw):
+            raise ConfigError(f"ic: cannot parse term {raw!r}")
+        constant += float(raw)
     if not all(map(math.isfinite, (constant, *cos_c, *sin_c))):
         raise ConfigError(f"ic: coefficients must be finite in {spec!r}")
     return constant, tuple(cos_c), tuple(sin_c)

@@ -19,7 +19,8 @@ vbar stays constant (Q has zero circle mean); the peak value obeys
 d v|peak / dt = -Q[v](0) and the endpoints s = 0, 2*pi are fixed points of
 the discrete stages, so the boundary identities hold to rounding.
 
-The slopes on the two sides of the peak satisfy scalar equations
+The slopes U+ = U[0] and U- = U[-1] on the two sides of the peak satisfy the
+scalar equations that the stage's rows dU[0] and dU[-1] evaluate,
 
     dU+-/dt = +-U+- + M V|peak - pi m^2 vbar - (U+-)^2/2 + (V|peak)^2 - P[v](0),
 
@@ -76,11 +77,6 @@ class NonlinearTrajectory:
     status: str  # "completed" | "blew_up"
     t_stop: float
     max_abs_slope: float
-
-
-def _peak_forcing(v_peak, p0, pmv: float):
-    """Forcing bracket M V|peak - pi m^2 vbar + V|peak^2 - P[v](0), pmv = pi m^2 vbar."""
-    return M * v_peak - pmv + v_peak ** 2 - p0
 
 
 def _rhs(ws: StageWorkspace, Z: np.ndarray, pmv: float):
@@ -151,7 +147,8 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
 
 
 def measured_forcing_bound(trajectory: NonlinearTrajectory) -> float:
-    """Largest forcing bracket seen while the run still resolved the flow.
+    """Largest forcing bracket M V|peak - pi m^2 vbar + V|peak^2 - P[v](0) seen
+    while the run still resolved the flow.
 
     When breaking was detected, the record taken at the stopping step is
     excluded: past the slope threshold the discrete state no longer means
@@ -160,51 +157,13 @@ def measured_forcing_bound(trajectory: NonlinearTrajectory) -> float:
     solution exists.  Clamped at zero, which can only enlarge the
     supersolution and so keeps the bound valid.
     """
-    bracket = _peak_forcing(trajectory.diag_v_peak, trajectory.diag_p0,
-                            math.pi * m * m * trajectory.vbar)
+    v_peak, pmv = trajectory.diag_v_peak, math.pi * m * m * trajectory.vbar
+    bracket = M * v_peak - pmv + v_peak ** 2 - trajectory.diag_p0
     if trajectory.status == "blew_up":
         bracket = bracket[trajectory.diag_t < trajectory.t_stop]
     if bracket.size == 0:
         return 0.0
     return max(0.0, float(np.max(bracket)))
-
-
-def peak_slope_forecast(u_plus_0: float, u_minus_0: float,
-                        trajectory: NonlinearTrajectory):
-    """Integrate the scalar peak-slope equations against recorded forcing.
-
-    The two one-sided slopes obey
-    dU+-/dt = +-U+- + M V|peak - pi m^2 vbar - (U+-)^2/2 + (V|peak)^2 - P[v](0)
-    with V|peak(t) and P[v](0)(t) taken from the trajectory diagnostics
-    (monotone-cubic interpolation between steps), stepping the run's own
-    dt = diag_t[1].  Only the leading rows whose V|peak and P(0) are finite
-    drive and are compared (a breaking run's stop state can overflow P).
-    Returns the maximal deviations (right, left) from the slopes the full
-    run actually carried on its peak-side characteristics; both are infinite
-    when the forecast leaves the reals.
-    """
-    from scipy.interpolate import PchipInterpolator  # slow to import; no CLI path needs it
-    finite = np.isfinite(trajectory.diag_v_peak) & np.isfinite(trajectory.diag_p0)
-    n = int(np.logical_and.accumulate(finite).sum())
-    if n < 2:
-        raise ValueError("trajectory too short for a forecast")
-    t_grid = trajectory.diag_t[:n]
-    v0_f = PchipInterpolator(t_grid, trajectory.diag_v_peak[:n])
-    p0_f = PchipInterpolator(t_grid, trajectory.diag_p0[:n])
-    pmv = math.pi * m * m * trajectory.vbar
-    sign = np.array([1.0, -1.0])
-
-    def rhs(t, u):
-        return sign * u - 0.5 * u * u + _peak_forcing(v0_f(t), p0_f(t), pmv), None
-
-    rows = []
-    _, _, _, outcome = march(rhs, np.array([u_plus_0, u_minus_0], dtype=float), t_grid[1],
-                             n - 1, record=lambda t, u, _: rows.append(u))
-    if outcome == "non-finite":
-        return math.inf, math.inf
-    carried = np.column_stack([trajectory.diag_u_right[:n], trajectory.diag_u_left[:n]])
-    res = np.max(np.abs(np.array(rows) - carried), axis=0)
-    return float(res[0]), float(res[1])
 
 
 def _riccati_roots(forcing: float):
@@ -250,8 +209,9 @@ def reconstruct_u(state: CharacteristicState, x_grid):
 
     The perturbation is interpolated from (X, V) by a monotone piecewise
     cubic, which cannot overshoot across the steepening front.  Also returns
-    the peak drift rate: the crest location moves with da/dt = v|peak on top
-    of the background speed M.
+    v|peak, the speed of the s = 0 corner on top of the background speed M.
+    That corner is the crest (u_x = U+ - 1 right of it, U- + 1 left of it)
+    only while U+ < 1 and U- > -1.
     """
     from scipy.interpolate import PchipInterpolator  # slow to import; no CLI path needs it
     x_grid = np.asarray(x_grid, dtype=float)

@@ -11,9 +11,8 @@ Boundary identities that every valid state satisfies: X[0] = 0,
 X[-1] = 2*pi, W[0] = 0, W[-1] = 2*pi*vbar, V[0] = V[-1] (the peak value).
 
 The linear and nonlinear integrators share the t = 0 state, the fixed-step
-timeline (:func:`save_steps`) and :func:`march`, the one RK4 stepping loop,
-which also drives the peak-slope forecast; the integrators advance the
-fields stacked as rows (X, W, V, U, J).
+timeline (:func:`save_steps`) and :func:`march`, the one RK4 stepping loop;
+they advance the fields stacked as rows (X, W, V, U, J).
 """
 
 from __future__ import annotations

@@ -64,8 +64,10 @@ def test_parse_ic_spec_errors():
     for spec in ("1e400*sin", "inf", "-inf", "nan", "1e308*cos+1e308*cos", "1e308+1e308"):
         with pytest.raises(ConfigError, match="finite"):
             parse_ic_spec(spec)
-    # a space inside a term is not deleted, so digits are never joined across it
-    for spec in ("1 2", "sin 1 0", "0.5*sin 3"):
+    # a space inside a term is not deleted, so digits are never joined across it;
+    # numbers are ASCII, without underscores, in constants, coefficients and indices
+    for spec in ("1 2", "sin 1 0", "0.5*sin 3", "１２*sin", "0.5*sin２", "sin١", "1e５*cos",
+                 "1_0", "１２", "١٢"):
         with pytest.raises(ConfigError, match=re.escape(f"cannot parse term {spec!r}")):
             parse_ic_spec(spec)
 
@@ -548,8 +550,8 @@ def test_python_m_peakonlab_exit_codes(tmp_path):
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
-    # only the forecast and the reconstruction need it; every CLI path skips both,
-    # and a classify run loads no scipy module at all
+    # only the wave reconstruction needs it, which no CLI path runs, and a
+    # classify run loads no scipy module at all
     out = str(tmp_path / "cl")
     codes = ("import sys, peakonlab.cli; print('scipy.interpolate' in sys.modules)",
              "import sys, peakonlab.cli as c; c.main(['classify', '--a', '-0.01', '--c', '1', "

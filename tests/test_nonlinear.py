@@ -1,6 +1,5 @@
 """Nonlinear characteristic dynamics: reduction limits, conservation, breaking."""
 
-import dataclasses
 import gc
 import math
 import weakref
@@ -13,8 +12,8 @@ from peakonlab.convolution import (DensitySample, StageWorkspace, conv_q, node_c
                                    q_density)
 from peakonlab.energetics import check_conserved, energies
 from peakonlab.kernel import M, m, phi, phi_open_interval, phi_prime_open_interval
-from peakonlab.nonlinear import (integrate_nonlinear, nl_rhs, peak_slope_forecast,
-                                 reconstruct_u, riccati_bound, riccati_supersolution)
+from peakonlab.nonlinear import (integrate_nonlinear, nl_rhs, reconstruct_u, riccati_bound,
+                                 riccati_supersolution)
 from peakonlab.profiles import InitialCondition, bump, sine, steepest_budget_bump
 from peakonlab.quadrature import Grid, cumulative_integral, fd_derivative, integrate_samples
 from peakonlab.state import initial_state
@@ -327,44 +326,40 @@ def test_input_validation():
         integrate_nonlinear(sine(), 1.0, dt=0.3, n_chars=64)
     with pytest.raises(ValueError, match="whole number of steps"):
         integrate_nonlinear(sine(), 1.0, dt=0.25, n_chars=64, save_times=[0.3])
-    with pytest.raises(ValueError, match="trajectory too short for a forecast"):
-        peak_slope_forecast(0.0, 0.0, integrate_nonlinear(sine(), 0.0, dt=1e-2, n_chars=32))
 
 
-# ------------------------------------------------------- peak slope forecast
+# ---------------------------------------------------------- peak slope laws
 
-def test_peak_slope_forecast_zero_state():
-    traj = integrate_nonlinear(InitialCondition(), 0.5, dt=1e-3, n_chars=64,
-                               save_times=[0.5])
-    res_r, res_l = peak_slope_forecast(0.0, 0.0, traj)
-    assert res_r == 0.0 and res_l == 0.0
-    # dU/dt = U - U^2/2 escapes from U(0) = -1e3 within t ~ 2e-3
-    assert peak_slope_forecast(-1e3, 0.0, traj) == (math.inf, math.inf)
-
-
-def test_peak_slope_forecast_small_sine():
-    ic = sine(0.05)
-    traj = integrate_nonlinear(ic, 1.0, dt=1e-3, n_chars=256, save_times=[1.0])
-    res_r, res_l = peak_slope_forecast(ic.v0_slope_right, ic.v0_slope_left, traj)
-    assert res_r < 5e-3
-    assert res_l < 5e-3
-
-
-def test_peak_slope_forecast_ignores_non_finite_stop_row():
-    # the stop state of this breaking run overflows the convolution: P(0) is nan
-    ic = bump(-0.5)
-    traj = integrate_nonlinear(ic, 6.0, dt=1e-2, n_chars=32)
+def test_peak_records_are_the_stage_rows_and_obey_the_scalar_slope_laws():
+    # every record row is its state's (t, V|peak, P(0), U+, U-), and the stage's
+    # dU[0], dU[-1] are dU+-/dt = +-U+- + M V|peak - pi m^2 vbar - U+-^2/2 + V|peak^2 - P(0)
+    dt = 1e-2
+    for ic, t_end, n in ((sine(0.05), 1.0, 64),
+                         (InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,),
+                                           constant=0.05), 1.0, 64),
+                         (bump(-0.5), 6.0, 32)):
+        traj = integrate_nonlinear(ic, t_end, dt=dt, n_chars=n,
+                                   save_times=[k * dt for k in range(round(t_end / dt) + 1)])
+        pmv, ws = math.pi * m * m * ic.vbar, StageWorkspace(traj.states[0].s)
+        with np.errstate(over="ignore", invalid="ignore"):  # the stop state can overflow P
+            stages = [nonlinear._rhs(ws, st.stack(), pmv) for st in traj.states]
+        record = np.column_stack([traj.diag_t, traj.diag_v_peak, traj.diag_p0,
+                                  traj.diag_u_right, traj.diag_u_left])
+        assert np.array_equal(record, [(st.t, st.V[0], p0, st.U[0], st.U[-1])
+                                       for st, (_, p0) in zip(traj.states, stages)], equal_nan=True)
+        assert np.isfinite(record[:-1]).all()
+        v0, p0, u = record[:, 1:2], record[:, 2:3], record[:, 3:]
+        law = np.array([1.0, -1.0]) * u + M * v0 - pmv - 0.5 * u * u + v0 * v0 - p0
+        dU = np.array([(dZ[3, 0], dZ[3, -1]) for dZ, _ in stages])
+        assert np.all((np.abs(dU - law) <= 1e-12 * np.maximum(1.0, np.abs(law)))
+                      | (np.isnan(dU) & np.isnan(law)))
+    # the stop state of the breaking run overflows the convolution: P(0) is nan
     assert traj.status == "blew_up" and np.isnan(traj.diag_p0[-1])
-    trimmed = dataclasses.replace(traj, **{name: getattr(traj, name)[:-1] for name in (
-        "diag_t", "diag_v_peak", "diag_p0", "diag_u_right", "diag_u_left")})
-    full = peak_slope_forecast(ic.v0_slope_right, ic.v0_slope_left, traj)
-    assert all(math.isfinite(r) for r in full)
-    assert full == peak_slope_forecast(ic.v0_slope_right, ic.v0_slope_left, trimmed)
 
 
 def test_peak_slope_scalar_system_reduces_to_linear_laws():
     # with the quadratic terms dropped the scalar system is the linear one;
-    # for small data the full forecast stays near the linear slope laws
+    # for small data the run's peak slopes stay near the linear slope laws
     eps = 1e-3
     ic = sine(eps)
     traj = integrate_nonlinear(ic, 2.0, dt=1e-3, n_chars=128, save_times=[2.0])
