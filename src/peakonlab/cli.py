@@ -243,14 +243,9 @@ def _summary_lines_for_state(i: int, state, report) -> list:
 
 def _drift_lines(reports) -> list:
     drifts = energetics.check_conserved(reports)
-    lines = []
-    for key in ("combo_linear", "combo_nonlinear", "E_u", "F_u"):
-        lines.append(f"drift_{key}_abs={_fmt(drifts[key]['abs'])}")
-        rel = drifts[key]["rel"]
-        lines.append(f"drift_{key}_rel={_fmt(rel) if math.isfinite(rel) else 'inf'}")
-    lines.append(f"drift_vbar_abs={_fmt(drifts['vbar']['abs'])}")
-    lines.append(f"drift_v_peak_abs={_fmt(drifts['v_peak']['abs'])}")
-    return lines
+    keys = [(key, kind) for key in ("combo_linear", "combo_nonlinear", "E_u", "F_u")
+            for kind in ("abs", "rel")] + [("vbar", "abs"), ("v_peak", "abs")]
+    return [f"drift_{key}_{kind}={_fmt(drifts[key][kind])}" for key, kind in keys]
 
 
 def _report_values(report) -> tuple:
@@ -273,11 +268,9 @@ def _output_dir(path: str, csv_names) -> Path:
     return out
 
 
-def _closed_form_states(ic, config):
-    """Each sample's closed-form state, from one evaluator per pass over the samples."""
-    with np.errstate(all="ignore"):  # a non-finite sample is reported as an error
-        closed_form = linear.ClosedForm(ic, cosine_grid(config.n_chars))  # the t-free work
-    for t in config.t_samples:
+def _closed_form_states(closed_form, times):
+    """Each sample's closed-form state from the run's one evaluator."""
+    for t in times:
         with np.errstate(all="ignore"):
             state = closed_form.state(t)
         yield state  # outside the errstate, so the caller keeps its own
@@ -288,9 +281,12 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     Every sample is checked and reported in one pass before anything is written,
     and closed-form states are rebuilt to be written, so a run holds one at a time;
-    each pass does the work that does not depend on t once, not once per sample.
-    The output directory is created only once the run has produced its result,
-    so a rejected or failed run leaves nothing behind.
+    the run's one closed-form evaluator does the work that does not depend on t.
+    The report pass runs with NumPy's floating-point warnings off: a non-finite
+    number is refused by name (t=0 energies, a linear sample) or printed as nan or
+    inf (a breaking run's stop state), never reported by a warning.  The output
+    directory is created only once the run has produced its result, so a rejected
+    or failed run leaves nothing behind.
     """
     config.validate()
     lines = [f"mode={config.mode}"]
@@ -306,69 +302,66 @@ def run_scenario(config: ScenarioConfig) -> int:
         return 0
 
     ic = config.initial_condition()
-    with np.errstate(all="ignore"):  # an overflow is reported below, as bad input
-        start = energetics.energies(initial_state(ic, config.n_chars))
-    if not all(map(math.isfinite, _report_values(start))):
-        raise ConfigError(f"ic: t=0 energies not finite for {config.ic_spec!r}, bump {config.bump:g}")
-    lines += [
-        f"ic={config.ic_spec}",
-        f"bump={_fmt(config.bump)}",
-        f"nchars={config.n_chars}",
-        f"dt={_fmt(config.dt)}",
-        "t_samples=" + ",".join(_fmt(t) for t in config.t_samples),
-    ]
-
     exit_code = 0
-    if config.mode == "linear-exact":
-        states = functools.partial(_closed_form_states, ic, config)
-    elif config.mode in ("linear-ode", "energies"):
-        traj = linear.integrate_linear(ic, config.t_samples[-1], dt=config.dt,
-                                       n_chars=config.n_chars,
-                                       save_times=config.t_samples)
-    elif config.mode == "nonlinear":
-        traj = nonlinear.integrate_nonlinear(
-            ic, config.t_samples[-1], dt=config.dt, n_chars=config.n_chars,
-            slope_threshold=config.slope_threshold, save_times=config.t_samples)
-        lines.append(f"blowup_status={traj.status}")
-        lines.append(f"blowup_t_stop={_fmt(traj.t_stop)}")
-        lines.append(f"blowup_max_abs_slope={_fmt(traj.max_abs_slope)}")
-        if traj.status == "blew_up":
-            forcing = nonlinear.measured_forcing_bound(traj)
-            bound = nonlinear.riccati_bound(traj.diag_u_right[0], forcing)
-            lines.append(f"blowup_measured_forcing={_fmt(forcing)}")
-            lines.append(f"blowup_riccati_bound={_fmt(bound) if math.isfinite(bound) else 'inf'}")
-            exit_code = 2
-    if config.mode != "linear-exact":
-        states = functools.partial(iter, traj.states)
+    with np.errstate(all="ignore"):  # the report pass: no number warns, each is checked
+        start = energetics.energies(initial_state(ic, config.n_chars))
+        if not all(map(math.isfinite, _report_values(start))):
+            raise ConfigError(f"ic: t=0 energies not finite for {config.ic_spec!r}, "
+                              f"bump {config.bump:g}")
+        lines += [
+            f"ic={config.ic_spec}",
+            f"bump={_fmt(config.bump)}",
+            f"nchars={config.n_chars}",
+            f"dt={_fmt(config.dt)}",
+            "t_samples=" + ",".join(_fmt(t) for t in config.t_samples),
+        ]
 
-    reports, state_lines = [], []
-    for i, (last, state) in enumerate(zip((0.0, *config.t_samples), states())):
-        if config.mode == "nonlinear":  # a breaking run's stop state may be past resolution
+        if config.mode == "linear-exact":
+            closed_form = linear.ClosedForm(ic, cosine_grid(config.n_chars))
+            states = functools.partial(_closed_form_states, closed_form, config.t_samples)
+        elif config.mode in ("linear-ode", "energies"):
+            traj = linear.integrate_linear(ic, config.t_samples[-1], dt=config.dt,
+                                           n_chars=config.n_chars,
+                                           save_times=config.t_samples)
+        elif config.mode == "nonlinear":
+            traj = nonlinear.integrate_nonlinear(
+                ic, config.t_samples[-1], dt=config.dt, n_chars=config.n_chars,
+                slope_threshold=config.slope_threshold, save_times=config.t_samples)
+            lines.append(f"blowup_status={traj.status}")
+            lines.append(f"blowup_t_stop={_fmt(traj.t_stop)}")
+            lines.append(f"blowup_max_abs_slope={_fmt(traj.max_abs_slope)}")
+            if traj.status == "blew_up":
+                forcing = nonlinear.measured_forcing_bound(traj)
+                bound = nonlinear.riccati_bound(traj.diag_u_right[0], forcing)
+                lines.append(f"blowup_measured_forcing={_fmt(forcing)}")
+                lines.append(f"blowup_riccati_bound={_fmt(bound)}")
+                exit_code = 2
+        if config.mode != "linear-exact":
+            states = functools.partial(iter, traj.states)
+
+        reports, state_lines = [], []
+        for i, (last, state) in enumerate(zip((0.0, *config.t_samples), states())):
             report = energetics.energies(state)
-        else:
-            with np.errstate(all="ignore"):  # the first non-finite sample is an error
-                report = energetics.energies(state)
-            for what, xs in (("closed-form state", state.stack()),
-                             ("energies", _report_values(report))):
-                if not np.isfinite(xs).all():
-                    raise linear.IntegrationError(f"{what} not finite at t={state.t:g}", last)
-        reports.append(report)
-        state_lines += _summary_lines_for_state(i, state, report)
+            if config.mode != "nonlinear":  # a breaking run's stop state may be past resolution
+                for what, xs in (("closed-form state", state.stack()),
+                                 ("energies", _report_values(report))):
+                    if not np.isfinite(xs).all():
+                        raise linear.IntegrationError(f"{what} not finite at t={state.t:g}", last)
+            reports.append(report)
+            state_lines += _summary_lines_for_state(i, state, report)
 
-    csv_names = [f"state_{i:02d}.csv" for i in range(len(reports))]
-    lines += [f"csv_{i:02d}={name}" for i, name in enumerate(csv_names)] + state_lines
-    if reports:
-        lines += _drift_lines(reports)
-
-    if config.mode == "energies":
-        consts = linear.h1_constants(ic, config.n_chars)
-        lines += [f"h1_{name}={_fmt(getattr(consts, name))}"
-                  for name in ("C1", "C2", "C3", "S_plus", "S_minus")]
-        for i, report in enumerate(reports):
-            pred = consts.energy(reports[i].t)
-            rel = abs(report.E_v - pred) / abs(pred) if pred else 0.0
-            lines.append(f"t{i}_E_pred={_fmt(pred)}")
-            lines.append(f"t{i}_E_rel_err={_fmt(rel)}")
+        csv_names = [f"state_{i:02d}.csv" for i in range(len(reports))]
+        lines += [f"csv_{i:02d}={name}" for i, name in enumerate(csv_names)] + state_lines
+        if reports:
+            lines += _drift_lines(reports)
+        if config.mode == "energies":
+            consts = linear.h1_constants(ic, config.n_chars)
+            lines += [f"h1_{name}={_fmt(getattr(consts, name))}"
+                      for name in ("C1", "C2", "C3", "S_plus", "S_minus")]
+            for i, report in enumerate(reports):
+                pred = consts.energy(report.t)
+                rel = abs(report.E_v - pred) / abs(pred) if pred else 0.0
+                lines += [f"t{i}_E_pred={_fmt(pred)}", f"t{i}_E_rel_err={_fmt(rel)}"]
 
     out = _output_dir(config.out_dir, csv_names)  # only now: a failed run leaves nothing
     for name, state in zip(csv_names, states()):

@@ -61,7 +61,6 @@ class EnergyReport:
     E_u: float
     F_u: float
     v_peak: float
-    vbar: float
     vbar_measured: float
 
     @property
@@ -102,8 +101,7 @@ def energies(state: CharacteristicState) -> EnergyReport:
     vbar_measured = integrate_samples(s, V * J) / (2.0 * math.pi)
 
     return EnergyReport(t=state.t, E_v=E_v, F_v=F_v, P=P, S=S,
-                        E_u=E_u, F_u=F_u, v_peak=state.v_peak, vbar=state.vbar,
-                        vbar_measured=vbar_measured)
+                        E_u=E_u, F_u=F_u, v_peak=state.v_peak, vbar_measured=vbar_measured)
 
 
 def check_conserved(series) -> dict:
@@ -126,7 +124,7 @@ def check_conserved(series) -> dict:
         ("v_peak", [r.v_peak for r in series]),
     ]:
         base = values[0]
-        drift = max(abs(v - base) for v in values)
+        drift = float(np.max(np.abs(np.subtract(values, base))))  # a NaN sample gives NaN
         out[key] = {
             "abs": drift,
             "rel": drift / abs(base) if base != 0.0 else (0.0 if drift == 0.0 else math.inf),

@@ -238,6 +238,18 @@ def test_nonlinear_breaking_exit_code(tmp_path):
     assert "blowup_riccati_bound=" in text
 
 
+def test_breaking_stop_state_at_a_sample_reports_nan_without_warnings(tmp_path):
+    # the stop step is the sample t=1.41, a state past resolution: its report and every
+    # drift that reads it print nan, and no RuntimeWarning (an error under pytest) escapes
+    config = ScenarioConfig(mode="nonlinear", ic_spec="", bump=-0.5, t_samples=(0.0, 1.4, 1.41),
+                            dt=1e-2, n_chars=32, out_dir=str(tmp_path / "stop"))
+    assert run_scenario(config) == 2
+    assert len(list((tmp_path / "stop").glob("state_*.csv"))) == 3
+    summary = dict(
+        line.split("=", 1) for line in (tmp_path / "stop" / "summary.txt").read_text().splitlines())
+    assert summary["t2_E_u"] == "nan" and summary["drift_E_u_abs"] == "nan"
+
+
 def test_energies_mode_emits_forecast_table(tmp_path):
     out = tmp_path / "en"
     code = main(["energies", "--ic", "cos", "--t", "0,0.5,1", "--dt", "0.002",
@@ -495,9 +507,9 @@ def test_linear_exact_memory_does_not_grow_with_samples(tmp_path):
     assert many - few < 256 * 1024
 
 
-def test_linear_exact_evaluates_the_profile_once_per_pass(tmp_path, monkeypatch):
-    # one antiderivative for the t = 0 energies, then one per pass (check, then write),
-    # however many samples the run has
+def test_linear_exact_evaluates_the_profile_once_per_run(tmp_path, monkeypatch):
+    # one antiderivative for the t = 0 energies, then one for the run's closed form,
+    # which both passes (check, then write) share, however many samples the run has
     calls = []
     antiderivative = InitialCondition.antiderivative
 
@@ -511,7 +523,7 @@ def test_linear_exact_evaluates_the_profile_once_per_pass(tmp_path, monkeypatch)
                             out_dir=str(tmp_path / "once"))
     assert run_scenario(config) == 0
     assert len(list((tmp_path / "once").glob("state_*.csv"))) == 20
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_linear_exact_writes_outside_any_errstate(tmp_path, monkeypatch):

@@ -54,7 +54,7 @@ def test_sine_perturbation_energies_closed_form():
 
 def _report(E_v, P=0.3, E_u=E_PHI + 1.0, F_v=0.2) -> EnergyReport:
     return EnergyReport(t=0.0, E_v=E_v, F_v=F_v, P=P, S=0.0, E_u=E_u, F_u=0.0,
-                        v_peak=0.0, vbar=0.0, vbar_measured=0.0)
+                        v_peak=0.0, vbar_measured=0.0)
 
 
 def test_combo_nonlinear_is_inf_once_the_square_overflows():
@@ -91,6 +91,16 @@ def test_check_conserved_constant_series():
     rep = energies(initial_state(sine(), 256))
     drifts = check_conserved([rep, rep, rep])
     assert all(v["abs"] == 0.0 for v in drifts.values())
+
+
+def test_check_conserved_keeps_a_nan_sample():
+    # a report past resolution (E_u = nan) makes every drift that reads it nan, not a
+    # finite maximum over the other samples
+    drifts = check_conserved([_report(1.0), _report(1.5), _report(2.0, E_u=math.nan)])
+    for key in ("combo_nonlinear", "E_u"):
+        assert math.isnan(drifts[key]["abs"]) and math.isnan(drifts[key]["rel"])
+    assert drifts["combo_linear"]["abs"] == abs(_report(2.0).combo_linear - _report(1.0).combo_linear)
+    assert drifts["F_u"] == {"abs": 0.0, "rel": 0.0}
 
 
 def test_check_conserved_reports_relative_and_absolute():
