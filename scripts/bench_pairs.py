@@ -32,7 +32,8 @@ Each workload and trace setting also gets an ``outputs`` entry from the
 sha256 digests of the runs' output trees (bench/_work/<workload>/result.json):
 ``identical`` when every parent and change run has the same digest,
 ``differ`` otherwise, and ``unknown`` when a run has no digest.  The record's
-``src_lines`` gives each side's ``wc -l src/peakonlab/*.py`` total.
+``src_lines`` gives each side's ``wc -l src/peakonlab/*.py src/peakonlab/*.c`` total,
+so compiled kernels count against the line budget with the modules.
 """
 
 from __future__ import annotations
@@ -64,8 +65,10 @@ def run_bench(tree: Path, workload: str, trace: int) -> dict:
 
 
 def src_lines(tree: Path) -> int:
-    """The total ``wc -l src/peakonlab/*.py`` prints for a checkout: its newline count."""
-    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/peakonlab/*.py"))
+    """The total ``wc -l src/peakonlab/*.py src/peakonlab/*.c`` prints for a checkout: its
+    newline count."""
+    return sum(path.read_bytes().count(b"\n") for pattern in ("*.py", "*.c")
+               for path in tree.glob(f"src/peakonlab/{pattern}"))
 
 
 def outputs(group: list) -> str:

@@ -20,20 +20,34 @@ values (:func:`.kernel.convolve_samples`), so the piecewise-smooth
 integrands are integrated piecewise.  Panel sums run left to right for
 bit-reproducible results.
 
+The O(n) path runs in ``_stage.c``, a C kernel that the first
+:class:`StageWorkspace` of a process compiles with the C compiler Python was
+built with (a compiler is required for every nonlinear stage) and caches in
+this package's ``__pycache__``.  It is built with ``-ffp-contract=off``, since
+a fused multiply-add would round differently from the NumPy formulas it
+reproduces bit for bit; NumPy still fills its cosh/sinh table.
+
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import kernel
-from .kernel import TWO_PI, m
-from .quadrature import as_grid, cumulative_integral, fd_derivative
+from .kernel import TWO_PI, M, m
+from .quadrature import as_grid, fd_derivative
+
+_F64 = np.dtype(float)
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
 
 
 @dataclass(frozen=True)
@@ -93,29 +107,105 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
     return _half_convolution("phi", sample, targets)
 
 
+class _Stage(ctypes.Structure):
+    """The ``stage`` struct of ``_stage.c``: the pointers and weights that stay fixed for a
+    workspace, handed to the kernel once per workspace."""
+
+    _fields_ = [("n", ctypes.c_long),
+                *((name, _DOUBLES) for name in ("cosh", "sinh", "half", "dx2_12", "a", "b", "c")),
+                *((name, ctypes.c_double)
+                  for name in ("a0", "b0", "c0", "a1", "b1", "c1", "half_m", "m", "M"))]
+
+
+_STAGE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no fused multiply-add
+
+
+def _load_stage(cache_dir, cc):
+    """``_stage.c`` as a loaded library, compiled first with the compiler command cc (a list)
+    into cache_dir unless a build of the same source and flags is there already.  The build
+    goes to a temporary file that is then renamed, so a concurrent load never sees half of
+    it; a failed build raises RuntimeError with the command and the compiler's stderr."""
+    try:  # CPython's own SHA-256: hashlib would map OpenSSL, 3.7 MB more peak RSS
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from _sha256 import sha256
+
+    source = Path(__file__).with_name("_stage.c")
+    key = sha256(source.read_bytes() + " ".join(_STAGE_FLAGS).encode()).hexdigest()
+    path = Path(cache_dir) / f"_stage-{key[:16]}.so"
+    if not path.exists():
+        import subprocess
+        import tempfile
+
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+        os.close(fd)
+        cmd = [*cc, *_STAGE_FLAGS, "-o", tmp, str(source)]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise RuntimeError(f"building the stage kernel failed: {' '.join(cmd)}\n"
+                                   f"{proc.stderr}")
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise RuntimeError(f"building the stage kernel failed: {' '.join(cmd)}\n{exc}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    lib = ctypes.CDLL(str(path))
+    stage, doubles = ctypes.POINTER(_Stage), _DOUBLES
+    lib.stage_convolutions.argtypes = (stage, doubles, doubles, doubles, doubles)
+    lib.stage_derivative.argtypes = (stage, doubles, doubles, doubles, doubles, ctypes.c_double)
+    lib.stage_convolutions.restype = lib.stage_derivative.restype = None
+    return lib
+
+
+@functools.cache
+def _stage_library():
+    """The stage kernel, built with the C compiler Python was built with and cached in this
+    package's ``__pycache__``; loaded once per process, by the first :class:`StageWorkspace`."""
+    import shlex
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    return _load_stage(Path(__file__).with_name("__pycache__"), cc)
+
+
 class StageWorkspace:
-    """Every row of a nonlinear RK4 stage on the nodes s (34 n floats), every view it reads
-    and the :class:`.quadrature.Grid` of s, built by whoever runs the stages (once per run in
-    ``integrate_nonlinear``).  :func:`node_convolutions` fills its table and density rows (the
-    sums it calls keep their own scratch), and ``nonlinear._rhs`` writes the derivative ``dZ``."""
+    """A nonlinear RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the table
+    that NumPy fills (``args`` = X, X - pi, pi + X and their ``cosh`` and ``sinh``: 12 n floats
+    with the shifts) and the compiled kernel ``_stage.c`` that does the rest, given the fixed
+    pointers once.  Built by whoever runs the stages (once per run in ``integrate_nonlinear``);
+    :func:`node_convolutions` and ``nonlinear._rhs`` call the kernel through it."""
 
     def __init__(self, s):
         self.grid = as_grid(s)
         n = len(self.grid.x)
+        if n < 3:
+            raise ValueError("a stage needs at least 3 nodes")
+        lib = _stage_library()
+        self.convolutions, self.derivative = lib.stage_convolutions, lib.stage_derivative
+        self.shape = (n,)
         self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
-        self.args, table = np.empty((3, n)), np.empty((2, 3, n))  # args: X, X - pi, pi + X
+        self.args, table = np.empty((3, n)), np.empty((2, 3, n))
         self.cosh, self.sinh = table  # of the args
-        self.h, self.lo, self.hi = table.swapaxes(0, 1)  # (cosh, sinh) of X, X - pi, pi + X
-        self.h_swap, self.lo_swap, self.hi_swap = self.h[::-1], self.lo[::-1], self.hi[::-1]
-        (self.coshX, self.sinhX), density = self.h, np.empty((4, n))
-        self.vv, self.half_uu, self.g, self.gp = density  # V^2, U^2/2, g = (V^2 + U^2/2) J, g'
-        self.g_gp, parts = density[2:, None], np.empty((3, 2, n))  # cosh and sinh rows of
-        (self.f, self.h_gp, self.df), self.f_h_gp = parts, parts[:2]  # h g, h g', (h g)'
-        run = np.empty((2, 2, n))  # running integrals of f from below and from above each node
-        self.low, self.high, self.low_end = run[0], run[1], run[0, :, -1:]
-        (self.low_c, self.low_s), (self.high_c, self.high_s) = run
-        self.dZ, local = np.empty((5, n)), np.empty((3, n))  # dZ: the stage derivative
-        self.dZ_rows, self.phis, (self.ph, self.php, self.tmp) = tuple(self.dZ), local[:2], local
+        (a, b, c), first, last = self.grid.stencil
+        rows = (self.cosh, self.sinh, *self.grid.panel, a, b, c)
+        self.stage = ctypes.pointer(_Stage(
+            n, *(r.ctypes.data_as(_DOUBLES) for r in rows),
+            *first, *last, 0.5 * m, m, M))
+        self._rows = rows  # the memory the kernel reads through those pointers
+
+    def pointer(self, x, shape=None):
+        """A pointer for the kernel to read x through: x must be (or is copied into) a
+        C-contiguous float64 array of ``shape``, a row of n by default.  Another shape raises
+        ValueError unless it broadcasts, as a scalar does, so the kernel never reads past
+        the end."""
+        shape = shape or self.shape
+        if not (type(x) is np.ndarray and x.dtype is _F64 and x.shape == shape
+                and x.flags.carray):
+            x = np.array(np.broadcast_to(x, shape), dtype=float, order="C")
+        return ctypes.c_double.from_buffer(x)
 
 
 def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndarray):
@@ -123,34 +213,21 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
 
     Splitting the kernel's cosh/sinh of (X_i - X_j) by addition formulas
     turns both convolutions into running Hermite integrals of cosh(X) g and
-    sinh(X) g, g = q J, over the characteristic parameter s: two rows of one
-    :func:`.quadrature.cumulative_integral`, read from below and from above
-    every node.  On a position grid (X = s, J = 1) this is algebraically the
-    panel-split rule of :func:`conv_q`/:func:`conv_p`, at O(n) instead of
-    O(n^2).  ``s`` is a :class:`StageWorkspace`, whose rows receive the temporaries
-    (``nonlinear._rhs`` then reads the table ``h``, ``lo``, ``hi`` = (cosh, sinh) of X,
-    X - pi, pi + X and ``vv`` = V^2, ``half_uu`` = U^2/2), or the nodes or their
-    :class:`.quadrature.Grid`, for which a new workspace is built and dropped.
+    sinh(X) g, g = q J, over the characteristic parameter s, read from below
+    and from above every node.  On a position grid (X = s, J = 1) this is
+    algebraically the panel-split rule of :func:`conv_q`/:func:`conv_p`, at O(n)
+    instead of O(n^2).  NumPy fills the cosh/sinh table of the :class:`StageWorkspace`
+    ``s`` (``nonlinear._rhs`` reads it next), the compiled kernel does the rest with the
+    operations of the :mod:`.quadrature` rules.  ``s`` may also be the nodes or their
+    :class:`.quadrature.Grid`, for which a new workspace is built and dropped.  V, U and J
+    are rows of n (or scalars), X anything that broadcasts to one.
     """
     ws = s if isinstance(s, StageWorkspace) else StageWorkspace(s)
     np.add(X, ws.shifts, out=ws.args)
     np.cosh(ws.args, out=ws.cosh)
     np.sinh(ws.args, out=ws.sinh)
-    np.multiply(V, V, out=ws.vv)
-    np.multiply(np.multiply(U, 0.5, out=ws.half_uu), U, out=ws.half_uu)
-    np.multiply(np.add(ws.vv, ws.half_uu, out=ws.g), J, out=ws.g)
-    fd_derivative(ws.grid, ws.g, out=ws.gp)
-    np.multiply(ws.h, ws.g_gp, out=ws.f_h_gp)  # h g and h g', h = (cosh, sinh) X
-    np.add(np.multiply(np.multiply(ws.h_swap, J, out=ws.df), ws.g, out=ws.df), ws.h_gp, out=ws.df)
-    cumulative_integral(ws.grid, ws.f, ws.df, out=ws.low)
-    np.subtract(ws.low_end, ws.low, out=ws.high)
-    # rows Q, P: (sinh, cosh)(X - pi) low_c - (cosh, sinh)(X - pi) low_s
-    # + (sinh, cosh)(pi + X) high_c - (cosh, sinh)(pi + X) high_s
-    QP = np.multiply(ws.lo_swap, ws.low_c)  # a new array: Q and P are returned
-    QP -= np.multiply(ws.lo, ws.low_s, out=ws.f)
-    QP += np.multiply(ws.hi_swap, ws.high_c, out=ws.f)
-    QP -= np.multiply(ws.hi, ws.high_s, out=ws.f)
-    QP *= 0.5 * m
+    QP, ptr = np.empty((2,) + ws.shape), ws.pointer  # a new array: Q and P are returned
+    ws.convolutions(ws.stage, ptr(V), ptr(U), ptr(J), ptr(QP, QP.shape))
     return QP[0], QP[1]
 
 

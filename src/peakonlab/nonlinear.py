@@ -81,26 +81,14 @@ class NonlinearTrajectory:
 
 def _rhs(ws: StageWorkspace, Z: np.ndarray, pmv: float):
     """Stage derivative for stacked Z = (X, W, V, U, J) in the caller's workspace ws, which
-    holds the run's grid and every temporary; returns (dZ, P0), dZ a new array."""
-    X, W, V, U, J = Z[0], Z[1], Z[2], Z[3], Z[4]  # indexing: iterating over Z is slower
-    Q, P = node_convolutions(ws, X, V, U, J)
-    v0, p0 = V.item(0), P.item(0)
-    ph, php, tmp, coshX, sinhX = ws.ph, ws.php, ws.tmp, ws.coshX, ws.sinhX
-    dX, dW, dV, dU, dJ = ws.dZ_rows
-    np.multiply(ws.lo, m, out=ws.phis)  # phi, phi' = m (cosh, sinh)(X - pi), from the table
-    np.subtract(np.add(np.subtract(ph, M, out=dX), V, out=dX), v0, out=dX)
-    np.add(np.multiply(php, W, out=dW),
-           np.multiply(np.subtract(1.0, coshX, out=tmp), pmv, out=tmp), out=dW)
-    dW += np.multiply(np.subtract(ws.vv, v0 * v0, out=tmp), 0.5, out=tmp)
-    np.add(np.subtract(dW, P, out=dW), p0, out=dW)
-    np.subtract(np.multiply(ph, W, out=dV), np.multiply(sinhX, pmv, out=tmp), out=dV)
-    dV -= Q
-    np.add(np.multiply(np.subtract(W, U, out=dU), php, out=dU), np.multiply(ph, V, out=tmp), out=dU)
-    dU -= np.multiply(coshX, pmv, out=tmp)
-    np.subtract(np.add(np.subtract(dU, ws.half_uu, out=dU), ws.vv, out=dU), P, out=dU)
-    np.multiply(np.add(php, U, out=dJ), J, out=dJ)
-    dX[0] = dX[-1] = 0.0  # the peak characteristics are exact fixed points
-    return ws.dZ.copy(), p0
+    holds the run's grid, the cosh/sinh table and the compiled kernel; returns (dZ, P0), dZ a
+    new array."""
+    ptr, shape = ws.pointer, (5,) + ws.shape
+    z = ptr(Z, shape)  # checked before the rows go to node_convolutions
+    Q, P = node_convolutions(ws, Z[0], Z[2], Z[3], Z[4])
+    dZ = np.empty(shape)
+    ws.derivative(ws.stage, z, ptr(Q), ptr(P), ptr(dZ, shape), pmv)
+    return dZ, P.item(0)
 
 
 def nl_rhs(state: CharacteristicState) -> StateDerivative:

@@ -108,9 +108,9 @@ def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None,
     """Running integral from the first node to every node, along the last axis of f.
 
     ``x`` is the nodes or their :class:`Grid`; ``out`` (shaped like f) receives the
-    result when given.  The one panel sum:
-    :func:`integrate_samples`, the corner-split kernel rule and the
-    nonlinear stage read their integrals off it.
+    result when given.  The one panel sum in Python:
+    :func:`integrate_samples` and the corner-split kernel rule read their
+    integrals off it, and the nonlinear stage's C kernel repeats its operations.
     """
     grid = as_grid(x)
     f = np.asarray(f, dtype=float)

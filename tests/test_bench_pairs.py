@@ -98,10 +98,13 @@ def test_src_lines_is_the_wc_total_of_the_package_modules(tmp_path):
     (package / "sub").mkdir(parents=True)
     (package / "a.py").write_text("x = 1\ny = 2\n\n")
     (package / "b.py").write_text("z = 3\nlast line without newline")
+    (package / "k.c").write_text("int f(void)\n{\n    return 0;\n}\n")
     (package / "notes.txt").write_text("not a module\n")
+    (package / "k.so").write_bytes(b"\x7fELF\n\n")
     (package / "sub" / "c.py").write_text("not in the glob\n")
-    assert _script().src_lines(tmp_path) == 4
+    (package / "sub" / "d.c").write_text("not in the glob\n")
+    assert _script().src_lines(tmp_path) == 8
     if shutil.which("wc"):
-        modules = sorted(str(p) for p in package.glob("*.py"))
-        wc = subprocess.run(["wc", "-l", *modules], capture_output=True, text=True, check=True)
-        assert int(wc.stdout.split()[-2]) == 4
+        sources = sorted(str(p) for pattern in ("*.py", "*.c") for p in package.glob(pattern))
+        wc = subprocess.run(["wc", "-l", *sources], capture_output=True, text=True, check=True)
+        assert int(wc.stdout.split()[-2]) == 8

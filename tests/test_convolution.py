@@ -1,6 +1,13 @@
-"""Nonlocal operators: the O(n^2) oracle, the O(n) path, and the reduction identity."""
+"""Nonlocal operators: the O(n^2) oracle, the O(n) path and its compiled kernel, and the
+reduction identity."""
 
 import math
+import os
+import shlex
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +17,7 @@ from hypothesis import strategies as hst
 from peakonlab import convolution as cv
 from peakonlab.convolution import DensitySample, conv_p, conv_q, node_convolutions, q_density
 from peakonlab.kernel import M, m, phi_open_interval, phi_prime_open_interval
+from peakonlab.nonlinear import _rhs
 from peakonlab.profiles import InitialCondition, cosine, sine
 from peakonlab.quadrature import integrate_samples
 from peakonlab.state import cosine_grid
@@ -212,3 +220,74 @@ def test_reduction_identity_converges_with_nodes():
     gaps = [cv.reduction_identity_gap(prof, 1.3, n) for n in (32, 64, 128)]
     assert gaps[1] <= gaps[0] / 3.0
     assert gaps[2] <= gaps[1] / 3.0
+
+
+# ------------------------------------------------- the compiled stage kernel
+
+def test_kernel_inputs_are_checked_before_the_foreign_call():
+    s = cosine_grid(65)
+    X, V, U, J = s - 0.1 * np.sin(s), 0.3 * np.sin(s), 0.3 * np.cos(s), 1.0 - 0.1 * np.cos(s)
+    ws = cv.StageWorkspace(s)
+    Q, P = node_convolutions(ws, X, V, U, J)
+    # a length other than n raises, as NumPy's broadcast did, and never reads past the end
+    for bad in (V[:-1], np.append(V, 0.0), np.stack([V, V])):
+        with pytest.raises(ValueError):
+            node_convolutions(ws, X, bad, U, J)
+        with pytest.raises(ValueError):
+            node_convolutions(ws, X, V, U, bad)
+    Z = np.stack([X, np.zeros_like(s), V, U, J])
+    for bad in (Z[:4], Z[:, :-1], np.hstack([Z, Z[:, :1]])):
+        with pytest.raises(ValueError):
+            _rhs(ws, bad, 0.1)
+    # other layouts and dtypes are converted: the same bits as float64 rows
+    strided, as_list = np.repeat(V, 2)[::2], U.tolist()
+    assert not strided.flags.c_contiguous
+    for got in (node_convolutions(ws, X, strided, as_list, J),
+                node_convolutions(ws, X, V, U, np.asfortranarray(np.stack([J, J]))[0])):
+        assert np.array_equal(got, (Q, P))
+    got = node_convolutions(ws, X, V.astype(np.float32), U, 1)
+    want = node_convolutions(ws, X, V.astype(np.float32).astype(float), U, np.ones_like(s))
+    assert np.array_equal(got, want)
+    dZ, p0 = _rhs(ws, Z, 0.1)
+    assert np.array_equal(_rhs(ws, np.asfortranarray(Z), 0.1)[0], dZ)
+    assert np.array_equal(_rhs(ws, Z.astype(np.float32), 0.1)[0],
+                          _rhs(ws, Z.astype(np.float32).astype(float), 0.1)[0])
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        cv.StageWorkspace(s[[0, -1]])
+
+
+def _counting_compiler(monkeypatch):
+    """The compiler runs of _load_stage from now on, counted."""
+    runs, run = [], subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda cmd, **kw: runs.append(cmd) or run(cmd, **kw))
+    return runs
+
+
+def test_the_stage_kernel_is_built_once_per_source_and_flags(monkeypatch, tmp_path):
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    runs = _counting_compiler(monkeypatch)
+    first = cv._load_stage(tmp_path, cc)
+    assert len(runs) == 1 and runs[0][:len(cc)] == cc and "-ffp-contract=off" in runs[0]
+    built = list(tmp_path.iterdir())  # the library alone: no temporary file is left
+    assert len(built) == 1 and built[0].name.startswith("_stage-")
+    second = cv._load_stage(tmp_path, cc)  # a second load in this process
+    assert len(runs) == 1 and second.stage_derivative is not None and first is not None
+    # a fresh process finds the build, so a compiler that cannot run is never asked
+    monkeypatch.undo()
+    script = ("import sys; from peakonlab import convolution as cv; "
+              "cv._load_stage(sys.argv[1], ['peakonlab-no-such-compiler'])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cv.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == built
+
+
+def test_a_failed_build_names_the_command_and_its_stderr(tmp_path):
+    with pytest.raises(RuntimeError, match="peakonlab-no-such-compiler"):
+        cv._load_stage(tmp_path / "a", ["peakonlab-no-such-compiler"])
+    failing = [sys.executable, "-c", "import sys; sys.exit('cc: unknown option')"]
+    with pytest.raises(RuntimeError, match="cc: unknown option") as err:
+        cv._load_stage(tmp_path / "b", failing)
+    assert "-ffp-contract=off" in str(err.value)
+    assert not list((tmp_path / "b").iterdir())  # nothing half written is left

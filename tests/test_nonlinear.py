@@ -208,12 +208,23 @@ def _warped_states():
 
 
 def test_stage_matches_the_unbuffered_formulas_bitwise():
-    for st in _warped_states():
-        pmv = math.pi * m * m * st.vbar
-        Q, P, dZ = _reference_stage(st.s, st.stack(), pmv)
-        assert all(map(np.array_equal, node_convolutions(st.s, st.X, st.V, st.U, st.J), (Q, P)))
-        got, p0 = nonlinear._rhs(StageWorkspace(st.s), st.stack(), pmv)
-        assert np.array_equal(got, dZ) and p0 == P[0]
+    # the warped states, one at n=4096 and one whose slope U ~ 1e200 overflows the stage
+    ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
+    big = linear.exact_state(1.3, ic, 257)
+    overflowing = big.stack()
+    overflowing[3] *= 1e200 / np.max(np.abs(overflowing[3]))
+    cases = [(st.s, st.stack(), st.vbar) for st in _warped_states()]
+    cases += [(st.s, st.stack(), st.vbar) for st in (linear.exact_state(1.3, ic, 4096),)]
+    cases.append((big.s, overflowing, big.vbar))
+    for s, Z, vbar in cases:
+        pmv = math.pi * m * m * vbar
+        with np.errstate(all="ignore"):
+            Q, P, dZ = _reference_stage(s, Z, pmv)
+        same = lambda a, b: np.array_equal(a, b, equal_nan=True)
+        assert all(map(same, node_convolutions(s, Z[0], Z[2], Z[3], Z[4]), (Q, P)))
+        got, p0 = nonlinear._rhs(StageWorkspace(s), Z, pmv)
+        assert same(got, dZ) and same(p0, P[0])
+    assert not np.isfinite(dZ).all() and np.isfinite(dZ).any()  # the overflow case
 
 
 def test_stage_results_on_one_workspace_are_new_arrays():
