@@ -146,6 +146,7 @@ def _load_stage(cache_dir, cc):
             if proc.returncode != 0:
                 raise RuntimeError(f"building the stage kernel failed: {' '.join(cmd)}\n"
                                    f"{proc.stderr}")
+            os.chmod(tmp, 0o755)  # mkstemp made it private to this user
             os.replace(tmp, path)
         except OSError as exc:
             raise RuntimeError(f"building the stage kernel failed: {' '.join(cmd)}\n{exc}") from exc
