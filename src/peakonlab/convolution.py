@@ -124,7 +124,8 @@ def _load_stage(cache_dir, cc):
     """``_stage.c`` as a loaded library, compiled first with the compiler command cc (a list)
     into cache_dir unless a build of the same source and flags is there already.  The build
     goes to a temporary file that is then renamed, so a concurrent load never sees half of
-    it; a failed build raises RuntimeError with the command and the compiler's stderr."""
+    it, and then the other ``_stage-*.so`` builds there are deleted; a failed build raises
+    RuntimeError with the command and the compiler's stderr."""
     try:  # CPython's own SHA-256: hashlib would map OpenSSL, 3.7 MB more peak RSS
         from _sha2 import sha256  # Python 3.12 and later
     except ImportError:
@@ -134,6 +135,7 @@ def _load_stage(cache_dir, cc):
     key = sha256(source.read_bytes() + " ".join(_STAGE_FLAGS).encode()).hexdigest()
     path = Path(cache_dir) / f"_stage-{key[:16]}.so"
     if not path.exists():
+        import contextlib
         import subprocess
         import tempfile
 
@@ -153,6 +155,9 @@ def _load_stage(cache_dir, cc):
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        for old in set(Path(cache_dir).glob("_stage-*.so")) - {path}:  # older sources' builds
+            with contextlib.suppress(OSError):
+                old.unlink()
     lib = ctypes.CDLL(str(path))
     stage, doubles = ctypes.POINTER(_Stage), _DOUBLES
     lib.stage_convolutions.argtypes = (stage, doubles, doubles, doubles, doubles)

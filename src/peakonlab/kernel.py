@@ -90,8 +90,8 @@ def _quadratic_at(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
 def _kernel_arrays(which: str, d: np.ndarray):
     """Kernel and its d-derivative on |d| <= 2*pi, corner handled by caller."""
     ad = np.abs(d)
-    c = m * np.cosh(math.pi - ad)
-    s = -np.sign(d) * m * np.sinh(math.pi - ad)
+    c = phi_open_interval(ad)
+    s = np.sign(d) * phi_prime_open_interval(ad)
     if which == "phi":
         return c, s, (M, M), (-1.0, 1.0)  # jump data for d -> 0+, d -> 0-
     if which == "phi_prime":  # second derivative equals phi away from the corner

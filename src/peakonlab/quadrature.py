@@ -51,40 +51,36 @@ class Grid:
 
 
 def as_grid(x) -> Grid:
-    """x itself when it is a :class:`Grid`, else a new grid of the nodes x.  Nothing is
-    kept between calls: a caller that integrates on one grid many times builds it once."""
+    """x itself when it is a :class:`Grid`, else a new grid of the nodes x."""
     return x if isinstance(x, Grid) else Grid(x)
 
 
-def fd_derivative(x, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Three-point finite-difference derivative on a nonuniform grid.
+def fd_derivative(x, f: np.ndarray) -> np.ndarray:
+    """Three-point finite-difference derivative of one row f on a nonuniform grid.
 
-    Interior nodes use the centered unequal-spacing stencil; the first and
-    last node use the one-sided three-point stencil, so values beyond the
-    array never enter (the ends may sit on corners of the integrand).
-    ``x`` is the nodes or their :class:`Grid`; rows of f run along the last axis,
-    and so do those of ``out``, which receives the result when given.
+    Interior nodes use the centered unequal-spacing stencil; the first and last node
+    use the one-sided three-point stencil, so values beyond the array never enter (the
+    ends may sit on corners of the integrand).  ``x`` is the nodes or their :class:`Grid`.
     """
     grid = as_grid(x)
     (a, b, c), (a0, b0, c0), (a1, b1, c1) = grid.stencil
-    d = np.empty_like(f) if out is None else out
-    inner, tmp = d[..., 1:-1], np.empty(f[..., 2:].shape)
-    np.multiply(f[..., 1:-1], b, out=inner)
-    inner -= np.multiply(f[..., :-2], a, out=tmp)
-    inner += np.multiply(f[..., 2:], c, out=tmp)
-    ft, dt = f.T, d.T  # ft[k]: node k of every row, a scalar for one row
-    dt[0] = a0 * ft[0] + b0 * ft[1] + c0 * ft[2]
-    dt[-1] = a1 * ft[-3] + b1 * ft[-2] + c1 * ft[-1]
+    d = np.empty_like(f)
+    inner, tmp = d[1:-1], np.empty(f[2:].shape)
+    np.multiply(f[1:-1], b, out=inner)
+    inner -= np.multiply(f[:-2], a, out=tmp)
+    inner += np.multiply(f[2:], c, out=tmp)
+    d[0] = a0 * f[0] + b0 * f[1] + c0 * f[2]
+    d[-1] = a1 * f[-3] + b1 * f[-2] + c1 * f[-1]
     return d
 
 
 def panel_integrals(grid: Grid, f: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
-    """Per-panel Hermite integrals along the last axis; trapezoid without derivative."""
+    """Per-panel Hermite integrals of one row f; trapezoid without derivative."""
     half, dx2_12 = grid.panel
-    out = np.add(f[..., :-1], f[..., 1:])
+    out = np.add(f[:-1], f[1:])
     out *= half
     if derivative is not None:
-        tmp = np.subtract(derivative[..., :-1], derivative[..., 1:])
+        tmp = np.subtract(derivative[:-1], derivative[1:])
         out += np.multiply(tmp, dx2_12, out=tmp)
     return out
 
@@ -103,12 +99,10 @@ def integrate_samples(x, f: np.ndarray) -> float:
     return float(cumulative_integral(grid, f)[-1])
 
 
-def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """Running integral from the first node to every node, along the last axis of f.
+def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None) -> np.ndarray:
+    """Running integral of one row f from the first node to every node.
 
-    ``x`` is the nodes or their :class:`Grid`; ``out`` (shaped like f) receives the
-    result when given.  The one panel sum in Python:
+    ``x`` is the nodes or their :class:`Grid`.  The one panel sum in Python:
     :func:`integrate_samples` and the corner-split kernel rule read their
     integrals off it, and the nonlinear stage's C kernel repeats its operations.
     """
@@ -116,7 +110,7 @@ def cumulative_integral(x, f: np.ndarray, derivative: np.ndarray | None = None,
     f = np.asarray(f, dtype=float)
     if derivative is None and len(grid.x) >= 3:
         derivative = fd_derivative(grid, f)
-    out = np.empty(f.shape) if out is None else out
-    out[..., 0] = 0.0
-    np.add.accumulate(panel_integrals(grid, f, derivative), axis=-1, out=out[..., 1:])
+    out = np.empty(f.shape)
+    out[0] = 0.0
+    np.add.accumulate(panel_integrals(grid, f, derivative), out=out[1:])
     return out

@@ -266,22 +266,26 @@ def _counting_compiler(monkeypatch):
 def test_the_stage_kernel_is_built_once_per_source_and_flags(monkeypatch, tmp_path):
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     runs = _counting_compiler(monkeypatch)
+    stale = tmp_path / "_stage-0000000000000000.so"  # the build of an older source
+    stale.write_bytes(b"")
     cv._load_stage(tmp_path, cc)
     assert len(runs) == 1 and runs[0][:len(cc)] == cc and "-ffp-contract=off" in runs[0]
-    built = list(tmp_path.iterdir())  # the library alone: no temporary file is left
-    assert len(built) == 1 and built[0].name.startswith("_stage-")
+    built = list(tmp_path.iterdir())  # the new library alone: no temporary file, no old build
+    assert len(built) == 1 and built[0].name.startswith("_stage-") and built != [stale]
     assert built[0].stat().st_mode & 0o555 == 0o555  # loadable by every user
     cv._load_stage(tmp_path, cc)  # a second load in this process
     assert len(runs) == 1
-    # a fresh process finds the build, so a compiler that cannot run is never asked
+    # a fresh process finds the build, so a compiler that cannot run is never asked, and
+    # it deletes nothing
     monkeypatch.undo()
+    stale.write_bytes(b"")
     script = ("import sys; from peakonlab import convolution as cv; "
               "cv._load_stage(sys.argv[1], ['peakonlab-no-such-compiler'])")
     env = {**os.environ, "PYTHONPATH": str(Path(cv.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert list(tmp_path.iterdir()) == built
+    assert sorted(tmp_path.iterdir()) == sorted([*built, stale])
 
 
 def test_a_failed_build_names_the_command_and_its_stderr(tmp_path):
