@@ -4,13 +4,14 @@
  * tests keep as the oracle (tests/test_nonlinear.py::_reference_stage), so the
  * results are bit for bit theirs.  That holds only when the compiler neither fuses
  * a multiply and an add (build with -ffp-contract=off) nor reassociates (no
- * -ffast-math).  The cosh/sinh table is filled by NumPy before each call, whose
- * SIMD cosh and sinh do not round as libm does.
+ * -ffast-math).  It reads only its workspace, whose rows and cosh/sinh table NumPy
+ * fills before each call (its SIMD cosh and sinh do not round as libm does).
  */
 
 typedef struct {
     long n;
     const double *cosh, *sinh; /* 3 x n each, of the args X, X - pi, pi + X */
+    const double *rows; /* W, V, U, J, n each */
     const double *half, *dx2_12; /* panel weights of f and f', n - 1 each */
     const double *a, *b, *c; /* f[k-1], f[k], f[k+1] weights of f'[k], n - 2 each */
     double a0, b0, c0, a1, b1, c1; /* one-sided weights at the first and the last node */
@@ -25,10 +26,10 @@ static double density(const double *V, const double *U, const double *J, long k)
 /* QP = (Q, P), 2 x n.  The running Hermite integrals of (cosh, sinh)(X) g from
  * the first node are kept in Q and P until the second loop turns them into the
  * convolutions. */
-void stage_convolutions(const stage *w, const double *V, const double *U, const double *J,
-                        double *QP)
+void stage_convolutions(const stage *w, double *QP)
 {
     const long n = w->n;
+    const double *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
     double *Q = QP, *P = QP + n;
     const double *ch = w->cosh, *sh = w->sinh;
     double gm = 0.0, g = density(V, U, J, 0), gn = density(V, U, J, 1);
@@ -64,12 +65,12 @@ void stage_convolutions(const stage *w, const double *V, const double *U, const 
     }
 }
 
-/* dZ = (dX, dW, dV, dU, dJ) of Z = (X, W, V, U, J), 5 x n each, given Q and P. */
-void stage_derivative(const stage *w, const double *Z, const double *Q, const double *P,
-                      double *dZ, double pmv)
+/* dZ = (dX, dW, dV, dU, dJ), 5 x n, of Z = (X, W, V, U, J) given QP = (Q, P). */
+void stage_derivative(const stage *w, const double *QP, double *dZ, double pmv)
 {
     const long n = w->n;
-    const double *W = Z + n, *V = Z + 2 * n, *U = Z + 3 * n, *J = Z + 4 * n;
+    const double *W = w->rows, *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
+    const double *Q = QP, *P = QP + n;
     const double *coshX = w->cosh, *sinhX = w->sinh, *ch_lo = w->cosh + n, *sh_lo = w->sinh + n;
     double *dX = dZ, *dW = dZ + n, *dV = dZ + 2 * n, *dU = dZ + 3 * n, *dJ = dZ + 4 * n;
     const double v0 = V[0], p0 = P[0], v0v0 = v0 * v0;

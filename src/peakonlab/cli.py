@@ -158,9 +158,13 @@ _CLASSIFY_ONLY = ("a", "c")
 
 
 def parse_config_file(path: str) -> dict:
-    """Read flat key=value lines; '#' starts a comment; errors carry the line."""
-    updates = {}
-    text = Path(path).read_text()
+    """Read flat key=value lines, each key at most once; '#' starts a comment; errors carry
+    the line."""
+    updates, seen = {}, {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -170,6 +174,9 @@ def parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         field, parse, _ = _KEYS[key]
         try:
             updates[field] = parse(value)
@@ -411,7 +418,8 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return run_scenario(config)
-    except (ConfigError, waves.ClassificationError, linear.IntegrationError, ValueError) as exc:
+    except (ConfigError, waves.ClassificationError, linear.IntegrationError, ValueError,
+            OSError) as exc:  # OSError: writing the outputs
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ The O(n) path runs in ``_stage.c``, a C kernel that the first
 built with (a compiler is required for every nonlinear stage) and caches in
 this package's ``__pycache__``.  It is built with ``-ffp-contract=off``, since
 a fused multiply-add would round differently from the NumPy formulas it
-reproduces bit for bit; NumPy still fills its cosh/sinh table.
+reproduces bit for bit; NumPy still fills its rows and cosh/sinh table.
 
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
@@ -46,7 +46,6 @@ from . import kernel
 from .kernel import TWO_PI, M, m
 from .quadrature import as_grid, fd_derivative
 
-_F64 = np.dtype(float)
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
 
 
@@ -112,9 +111,8 @@ class _Stage(ctypes.Structure):
     workspace, handed to the kernel once per workspace."""
 
     _fields_ = [("n", ctypes.c_long),
-                *((name, _DOUBLES) for name in ("cosh", "sinh", "half", "dx2_12", "a", "b", "c")),
-                *((name, ctypes.c_double)
-                  for name in ("a0", "b0", "c0", "a1", "b1", "c1", "half_m", "m", "M"))]
+                *((name, _DOUBLES) for name in "cosh sinh rows half dx2_12 a b c".split()),
+                *((name, ctypes.c_double) for name in "a0 b0 c0 a1 b1 c1 half_m m M".split())]
 
 
 _STAGE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no fused multiply-add
@@ -159,9 +157,9 @@ def _load_stage(cache_dir, cc):
             with contextlib.suppress(OSError):
                 old.unlink()
     lib = ctypes.CDLL(str(path))
-    stage, doubles = ctypes.POINTER(_Stage), _DOUBLES
-    lib.stage_convolutions.argtypes = (stage, doubles, doubles, doubles, doubles)
-    lib.stage_derivative.argtypes = (stage, doubles, doubles, doubles, doubles, ctypes.c_double)
+    stage = ctypes.POINTER(_Stage)
+    lib.stage_convolutions.argtypes = (stage, _DOUBLES)
+    lib.stage_derivative.argtypes = (stage, _DOUBLES, _DOUBLES, ctypes.c_double)
     lib.stage_convolutions.restype = lib.stage_derivative.restype = None
     return lib
 
@@ -178,11 +176,11 @@ def _stage_library():
 
 
 class StageWorkspace:
-    """A nonlinear RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the table
-    that NumPy fills (``args`` = X, X - pi, pi + X and their ``cosh`` and ``sinh``: 12 n floats
-    with the shifts) and the compiled kernel ``_stage.c`` that does the rest, given the fixed
-    pointers once.  Built by whoever runs the stages (once per run in ``integrate_nonlinear``);
-    :func:`node_convolutions` and ``nonlinear._rhs`` call the kernel through it."""
+    """A nonlinear RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the memory
+    that NumPy fills (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh``
+    and ``sinh``: 16 n floats with the shifts) and the compiled kernel ``_stage.c`` that reads
+    only that memory, given its pointers once.  Built by whoever runs the stages (once per run
+    in ``integrate_nonlinear``); :func:`node_convolutions` and ``nonlinear._rhs`` use it."""
 
     def __init__(self, s):
         self.grid = as_grid(s)
@@ -193,29 +191,16 @@ class StageWorkspace:
         self.convolutions, self.derivative = lib.stage_convolutions, lib.stage_derivative
         self.shape = (n,)
         self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
-        self.args, table = np.empty((3, n)), np.empty((2, 3, n))
+        self.args, table, self.rows = np.empty((3, n)), np.empty((2, 3, n)), np.empty((4, n))
         self.cosh, self.sinh = table  # of the args
         (a, b, c), first, last = self.grid.stencil
-        rows = (self.cosh, self.sinh, *self.grid.panel, a, b, c)
+        memory = (self.cosh, self.sinh, self.rows, *self.grid.panel, a, b, c)  # all kept by self
         self.stage = ctypes.pointer(_Stage(
-            n, *(r.ctypes.data_as(_DOUBLES) for r in rows),
-            *first, *last, 0.5 * m, m, M))
-        self._rows = rows  # the memory the kernel reads through those pointers
-
-    def pointer(self, x, shape=None):
-        """A pointer for the kernel to read x through: x must be (or is copied into) a
-        C-contiguous float64 array of ``shape``, a row of n by default.  Another shape raises
-        ValueError unless it broadcasts, as a scalar does, so the kernel never reads past
-        the end."""
-        shape = shape or self.shape
-        if not (type(x) is np.ndarray and x.dtype is _F64 and x.shape == shape
-                and x.flags.carray):
-            x = np.array(np.broadcast_to(x, shape), dtype=float, order="C")
-        return ctypes.c_double.from_buffer(x)
+            n, *(r.ctypes.data_as(_DOUBLES) for r in memory), *first, *last, 0.5 * m, m, M))
 
 
 def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndarray):
-    """Q[v] and P[v] at every characteristic node in O(n), as new arrays.
+    """Q[v] and P[v] at every characteristic node in O(n), as the rows of one new array.
 
     Splitting the kernel's cosh/sinh of (X_i - X_j) by addition formulas
     turns both convolutions into running Hermite integrals of cosh(X) g and
@@ -226,15 +211,18 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     ``s`` (``nonlinear._rhs`` reads it next), the compiled kernel does the rest with the
     operations of the :mod:`.quadrature` rules.  ``s`` may also be the nodes or their
     :class:`.quadrature.Grid`, for which a new workspace is built and dropped.  V, U and J
-    are rows of n (or scalars), X anything that broadcasts to one.
+    are copied into its float64 rows and X is added to its shifts, so each may be anything
+    that broadcasts to a row of n; another shape raises ValueError.
     """
     ws = s if isinstance(s, StageWorkspace) else StageWorkspace(s)
+    for row, x in zip(ws.rows[1:], (V, U, J)):
+        np.copyto(row, x)  # a no-op for the row itself, as nonlinear._rhs passes it
     np.add(X, ws.shifts, out=ws.args)
     np.cosh(ws.args, out=ws.cosh)
     np.sinh(ws.args, out=ws.sinh)
-    QP, ptr = np.empty((2,) + ws.shape), ws.pointer  # a new array: Q and P are returned
-    ws.convolutions(ws.stage, ptr(V), ptr(U), ptr(J), ptr(QP, QP.shape))
-    return QP[0], QP[1]
+    QP = np.empty((2,) + ws.shape)  # new: Q and P are returned
+    ws.convolutions(ws.stage, ctypes.c_double.from_buffer(QP))
+    return QP
 
 
 def reduction_identity_gap(profile, x: float, nodes: int = 4096) -> float:

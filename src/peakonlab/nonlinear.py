@@ -37,6 +37,7 @@ non-finite); the reported stop time is the last completed step.
 from __future__ import annotations
 
 import math
+from ctypes import c_double
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +81,16 @@ class NonlinearTrajectory:
 
 
 def _rhs(ws: StageWorkspace, Z: np.ndarray, pmv: float):
-    """Stage derivative for stacked Z = (X, W, V, U, J) in the caller's workspace ws, which
-    holds the run's grid, the cosh/sinh table and the compiled kernel; returns (dZ, P0), dZ a
-    new array."""
-    ptr, shape = ws.pointer, (5,) + ws.shape
-    z = ptr(Z, shape)  # checked before the rows go to node_convolutions
-    Q, P = node_convolutions(ws, Z[0], Z[2], Z[3], Z[4])
-    dZ = np.empty(shape)
-    ws.derivative(ws.stage, z, ptr(Q), ptr(P), ptr(dZ, shape), pmv)
-    return dZ, P.item(0)
+    """Stage derivative for the 5 stacked rows Z = (X, W, V, U, J) in the caller's workspace
+    ws, into whose rows Z[1:] is copied (another shape raises ValueError); returns (dZ, P0),
+    dZ a new array."""
+    if len(Z) != 5:  # copyto would broadcast a lone second row into all four
+        raise ValueError(f"a stage needs the 5 rows X, W, V, U, J, got {len(Z)}")
+    np.copyto(ws.rows, Z[1:])
+    QP = node_convolutions(ws, Z[0], *ws.rows[1:])
+    dZ = np.empty((5,) + ws.shape)
+    ws.derivative(ws.stage, c_double.from_buffer(QP), c_double.from_buffer(dZ), pmv)
+    return dZ, QP.item(1, 0)
 
 
 def nl_rhs(state: CharacteristicState) -> StateDerivative:

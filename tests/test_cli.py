@@ -105,6 +105,39 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     cfg.write_text("ic = sin\nnchars 32\n")
     with pytest.raises(ConfigError, match="bad.cfg:2: expected key=value"):
         parse_config_file(str(cfg))
+    # a key given twice is refused, not last-wins
+    for text, line in (("dt = 1e-3\nic = sin\ndt = 2e-2\n",
+                        "bad.cfg:3: key 'dt' already set on line 1"),
+                       ("mode = linear-exact\nmode = nonlinear\n",
+                        "bad.cfg:2: key 'mode' already set on line 1")):
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=line):
+            parse_config_file(str(cfg))
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: None,  # missing
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"ic = sin\n# \xff\n"),  # not UTF-8
+], ids=["missing", "directory", "not-utf-8"])
+def test_unreadable_config_file_reported(tmp_path, capsys, make):
+    cfg = tmp_path / "run.cfg"
+    make(cfg)
+    out = tmp_path / "out"
+    assert main(["linear-exact", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["state_00.csv", "summary.txt"])
+def test_unwritable_output_file_reported(tmp_path, capsys, name):
+    # a directory where the run writes a file: an error, which may leave the files
+    # already written
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["linear-exact", "--t", "0", "--nchars", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / name) in err
 
 
 def test_config_file_mode_must_match_command(tmp_path):
@@ -269,6 +302,25 @@ def test_classify_mode(tmp_path, capsys):
     assert "family=peaked" in (tmp_path / "cl" / "summary.txt").read_text()
     code = main(["classify", "--a", "-1", "--c", "1.0", "--out", str(tmp_path / "cl2")])
     assert code == 1  # beyond the fold: reported, never silent
+
+
+def test_linear_modes_and_classify_never_load_the_stage_kernel(tmp_path, monkeypatch):
+    # so they need no C compiler; a nonlinear run does load it
+    from peakonlab import convolution
+
+    class Loaded(Exception):
+        pass
+
+    def load():
+        raise Loaded
+
+    monkeypatch.setattr(convolution, "_stage_library", load)
+    run = ["--ic", "0.1*sin", "--t", "0,0.1", "--dt", "1e-2", "--nchars", "32"]
+    for mode in ("linear-exact", "linear-ode", "energies"):
+        assert main([mode, *run, "--out", str(tmp_path / mode)]) == 0
+    assert main(["classify", "--a", "0", "--c", str(M), "--out", str(tmp_path / "cl")]) == 0
+    with pytest.raises(Loaded):
+        main(["nonlinear", *run, "--out", str(tmp_path / "nl")])
 
 
 def test_error_exit_code_on_bad_ic(tmp_path):

@@ -237,6 +237,16 @@ def test_stage_results_on_one_workspace_are_new_arrays():
     assert np.array_equal(d1.dU, kept) and np.array_equal(nl_rhs(st1).dU, kept)
 
 
+def test_a_stage_needs_all_five_rows():
+    # the rows are copied into the workspace, where a (2, n) Z would broadcast its
+    # second row into W, V, U and J
+    st, _, _ = _warped_states()
+    ws, Z = StageWorkspace(st.s), st.stack()
+    for bad in (Z[:1], Z[:2], np.vstack([Z, Z[:1]])):
+        with pytest.raises(ValueError):
+            nonlinear._rhs(ws, bad, 0.1)
+
+
 def test_node_convolutions_results_survive_a_second_call():
     st1, st2, _ = _warped_states()
     Q1, P1 = node_convolutions(st1.s, st1.X, st1.V, st1.U, st1.J)
