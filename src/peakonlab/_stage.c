@@ -1,17 +1,19 @@
-/* One nonlinear RK4 stage of peakonlab on n characteristic nodes, as two loops.
+/* One nonlinear RK4 stage of peakonlab on n characteristic nodes, as two loops, and the
+ * RK4 step around it.
  *
  * Every float operation is the one, and in the order, of the NumPy formulas the
- * tests keep as the oracle (tests/test_nonlinear.py::_reference_stage), so the
- * results are bit for bit theirs.  That holds only when the compiler neither fuses
- * a multiply and an add (build with -ffp-contract=off) nor reassociates (no
- * -ffast-math).  It reads only its workspace, whose rows and cosh/sinh table NumPy
- * fills before each call (its SIMD cosh and sinh do not round as libm does).
+ * tests keep as the oracle (tests/test_nonlinear.py::_reference_stage for a stage,
+ * state.rk4 for a step), so the results are bit for bit theirs.  That holds only when
+ * the compiler neither fuses a multiply and an add (build with -ffp-contract=off) nor
+ * reassociates (no -ffast-math).  A stage reads only its workspace, whose cosh/sinh
+ * table NumPy fills before each stage (its SIMD cosh and sinh do not round as libm does);
+ * a step also reads the state it starts from and writes the one it ends at.
  */
 
 typedef struct {
     long n;
     const double *cosh, *sinh; /* 3 x n each, of the args X, X - pi, pi + X */
-    const double *rows; /* W, V, U, J, n each */
+    double *rows; /* W, V, U, J, n each; only rk4_start and rk4_stage write them */
     const double *half, *dx2_12; /* panel weights of f and f', n - 1 each */
     const double *a, *b, *c; /* f[k-1], f[k], f[k+1] weights of f'[k], n - 2 each */
     double a0, b0, c0, a1, b1, c1; /* one-sided weights at the first and the last node */
@@ -26,7 +28,7 @@ static double density(const double *V, const double *U, const double *J, long k)
 /* QP = (Q, P), 2 x n.  The running Hermite integrals of (cosh, sinh)(X) g from
  * the first node are kept in Q and P until the second loop turns them into the
  * convolutions. */
-void stage_convolutions(const stage *w, double *QP)
+void stage_convolutions(const stage *w, double *restrict QP)
 {
     const long n = w->n;
     const double *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
@@ -66,7 +68,7 @@ void stage_convolutions(const stage *w, double *QP)
 }
 
 /* dZ = (dX, dW, dV, dU, dJ), 5 x n, of Z = (X, W, V, U, J) given QP = (Q, P). */
-void stage_derivative(const stage *w, const double *QP, double *dZ, double pmv)
+void stage_derivative(const stage *w, const double *QP, double *restrict dZ, double pmv)
 {
     const long n = w->n;
     const double *W = w->rows, *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
@@ -84,4 +86,61 @@ void stage_derivative(const stage *w, const double *QP, double *dZ, double pmv)
         dJ[k] = (php + U[k]) * J[k];
     }
     dX[0] = dX[n - 1] = 0.0; /* the peak characteristics are exact fixed points */
+}
+
+/* One classical RK4 step from Z, 5 x n, to out: the four stage derivatives k go into
+ * acc = ((k1 + 2 k2) + 2 k3), and out = Z + (acc + k4) dt/6. */
+typedef struct {
+    const double *Z;
+    double *out;
+    double *QP, *k, *acc; /* 2 x n and 5 x n each */
+    double *args; /* 3 x n, the table's arguments */
+    double pmv, dt6;
+    double h[3]; /* the next stage's input is Z + h[j] k after stage j: dt/2, dt/2, dt */
+} rk4;
+
+static const double PI = 3.141592653589793;
+
+/* The stage input z = Z + h k (z = Z without k) as the workspace's rows W, V, U, J
+ * and the args X + 0, X - pi, X + pi. */
+static void stage_input(const stage *w, double *restrict args, const double *Z,
+                        const double *k, double h)
+{
+    const long n = w->n;
+    double *restrict rows = w->rows;
+    for (long i = 0; i < n; i++) {
+        double x = k ? Z[i] + h * k[i] : Z[i];
+        args[i] = x + 0.0; /* as NumPy adds the zero shift: -0.0 becomes +0.0 */
+        args[n + i] = x - PI;
+        args[2 * n + i] = x + PI;
+    }
+    for (long i = n; i < 5 * n; i++)
+        rows[i - n] = k ? Z[i] + h * k[i] : Z[i];
+}
+
+/* Starts a step from Z into out with Z as the first stage's input. */
+void rk4_start(const stage *w, rk4 *r, const double *Z, double *out)
+{
+    r->Z = Z, r->out = out;
+    stage_input(w, r->args, Z, 0, 0.0);
+}
+
+/* Stage j = 0..3 of the step on the table NumPy filled from its input; then the next
+ * stage's input, or after stage 3 the step's result.  Returns the stage's P[0]. */
+double rk4_stage(const stage *w, const rk4 *r, int j)
+{
+    const long n5 = 5 * w->n;
+    const double *Z = r->Z, *k = r->k, dt6 = r->dt6;
+    double *acc = r->acc, *out = r->out;
+    stage_convolutions(w, r->QP);
+    stage_derivative(w, r->QP, r->k, r->pmv);
+    if (j == 3) {
+        for (long i = 0; i < n5; i++)
+            out[i] = Z[i] + (acc[i] + k[i]) * dt6;
+    } else {
+        for (long i = 0; i < n5; i++)
+            acc[i] = j == 0 ? k[i] : acc[i] + k[i] * 2.0;
+        stage_input(w, r->args, Z, k, r->h[j]);
+    }
+    return r->QP[w->n];
 }

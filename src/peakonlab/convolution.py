@@ -25,7 +25,10 @@ The O(n) path runs in ``_stage.c``, a C kernel that the first
 built with (a compiler is required for every nonlinear stage) and caches in
 this package's ``__pycache__``.  It is built with ``-ffp-contract=off``, since
 a fused multiply-add would round differently from the NumPy formulas it
-reproduces bit for bit; NumPy still fills its rows and cosh/sinh table.
+reproduces bit for bit; NumPy still fills its cosh/sinh table.  The kernel also
+runs a whole RK4 step of the nonlinear run (:meth:`StageWorkspace.rk4_step`):
+one call per stage after the table, which adds the stage to the step's sum and
+writes the next stage's input into the workspace.
 
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
@@ -115,7 +118,15 @@ class _Stage(ctypes.Structure):
                 *((name, ctypes.c_double) for name in "a0 b0 c0 a1 b1 c1 half_m m M".split())]
 
 
-_STAGE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no fused multiply-add
+class _RK4(ctypes.Structure):
+    """The ``rk4`` struct of ``_stage.c``: a step's state pointers, its scratch and its step
+    sizes, handed to the kernel once per stage."""
+
+    _fields_ = [*((name, _DOUBLES) for name in "Z out QP k acc args".split()),
+                ("pmv", ctypes.c_double), ("dt6", ctypes.c_double), ("h", ctypes.c_double * 3)]
+
+
+_STAGE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")  # no fused multiply-add
 
 
 def _load_stage(cache_dir, cc):
@@ -160,7 +171,10 @@ def _load_stage(cache_dir, cc):
     stage = ctypes.POINTER(_Stage)
     lib.stage_convolutions.argtypes = (stage, _DOUBLES)
     lib.stage_derivative.argtypes = (stage, _DOUBLES, _DOUBLES, ctypes.c_double)
-    lib.stage_convolutions.restype = lib.stage_derivative.restype = None
+    lib.rk4_start.argtypes = (stage, ctypes.POINTER(_RK4), _DOUBLES, _DOUBLES)
+    lib.rk4_stage.argtypes = (stage, ctypes.POINTER(_RK4), ctypes.c_int)
+    lib.stage_convolutions.restype = lib.stage_derivative.restype = lib.rk4_start.restype = None
+    lib.rk4_stage.restype = ctypes.c_double
     return lib
 
 
@@ -177,10 +191,11 @@ def _stage_library():
 
 class StageWorkspace:
     """A nonlinear RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the memory
-    that NumPy fills (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh``
+    the stage reads (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh``
     and ``sinh``: 16 n floats with the shifts) and the compiled kernel ``_stage.c`` that reads
     only that memory, given its pointers once.  Built by whoever runs the stages (once per run
-    in ``integrate_nonlinear``); :func:`node_convolutions` and ``nonlinear._rhs`` use it."""
+    in ``integrate_nonlinear``); :func:`node_convolutions`, ``nonlinear._rhs`` and the steps
+    of :meth:`rk4_step` use it."""
 
     def __init__(self, s):
         self.grid = as_grid(s)
@@ -189,6 +204,7 @@ class StageWorkspace:
             raise ValueError("a stage needs at least 3 nodes")
         lib = _stage_library()
         self.convolutions, self.derivative = lib.stage_convolutions, lib.stage_derivative
+        self.rk4_start, self.rk4_stage = lib.rk4_start, lib.rk4_stage
         self.shape = (n,)
         self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
         self.args, table, self.rows = np.empty((3, n)), np.empty((2, 3, n)), np.empty((4, n))
@@ -197,6 +213,41 @@ class StageWorkspace:
         memory = (self.cosh, self.sinh, self.rows, *self.grid.panel, a, b, c)  # all kept by self
         self.stage = ctypes.pointer(_Stage(
             n, *(r.ctypes.data_as(_DOUBLES) for r in memory), *first, *last, 0.5 * m, m, M))
+
+    def rk4_step(self, pmv: float, dt: float, rhs):
+        """The classical RK4 step of dt for the nonlinear flow, ``state.rk4(rhs, dt)`` bit for
+        bit when rhs(t, Z) is ``nonlinear._rhs(self, Z, pmv)`` (kept as ``step.rhs``).
+
+        ``step(t, Z)`` takes the (5, n) rows Z = (X, W, V, U, J) (another shape raises
+        ValueError) and returns (Z one step later, a new array, and the first stage's P(0)).
+        It makes one compiled call to start and then, per stage, NumPy's cosh and sinh of
+        ``args`` into the table and one compiled call, which runs the stage, adds its
+        derivative to the step's sum in ``state.rk4``'s order and writes the next stage's
+        input (or the result) into ``rows`` and ``args``."""
+        shape = (5,) + self.shape
+        scratch = np.empty((2,) + self.shape), np.empty(shape), np.empty(shape)  # QP, k, acc
+        rk4 = ctypes.pointer(_RK4(None, None, *(a.ctypes.data_as(_DOUBLES)
+                                                for a in (*scratch, self.args)),
+                                  pmv, dt / 6.0, (0.5 * dt, 0.5 * dt, dt)))
+        start, stage, w, args, cosh, sinh = (self.rk4_start, self.rk4_stage, self.stage,
+                                             self.args, self.cosh, self.sinh)
+
+        def step(t, Z):
+            Z = np.ascontiguousarray(Z, dtype=float)
+            if Z.shape != shape:  # the kernel would read past the end of a smaller Z
+                raise ValueError(f"a step needs the {shape} rows X, W, V, U, J, got {Z.shape}")
+            out = np.empty(shape)
+            start(w, rk4, ctypes.c_double.from_buffer(Z), ctypes.c_double.from_buffer(out))
+            for j in range(4):
+                np.cosh(args, out=cosh)
+                np.sinh(args, out=sinh)
+                p = stage(w, rk4, j)
+                if j == 0:
+                    p0 = p  # the extra: P(0) of Z itself
+            return out, p0
+
+        step.rhs, step.scratch = rhs, scratch  # scratch: the memory rk4 points at
+        return step
 
 
 def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndarray):

@@ -43,7 +43,7 @@ import numpy as np
 from .energetics import energies
 from .kernel import M, TWO_PI, m, phi_open_interval, phi_prime_open_interval
 from .profiles import InitialCondition
-from .state import CharacteristicState, cosine_grid, initial_state, march, save_steps
+from .state import CharacteristicState, cosine_grid, initial_state, march, rk4, save_steps
 
 E_2PI = math.exp(TWO_PI)
 
@@ -183,7 +183,7 @@ def integrate_linear(ic: InitialCondition, t_end: float, dt: float = 1e-3,
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
     rhs = lambda t, Z: (_linear_rhs(Z, pmv), None)  # autonomous, no side output
-    saved, _, t, outcome = march(rhs, start.stack(), dt, n_end, saves)
+    saved, _, t, outcome = march(rk4(rhs, dt), start.stack(), dt, n_end, saves)
     if outcome == "non-finite":
         raise IntegrationError(f"linear integration left the reals after t={t:g}",
                                last_valid_time=t)

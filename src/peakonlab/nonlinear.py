@@ -108,6 +108,8 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
                         save_times=None):
     """Fixed-step RK4 for the nonlinear characteristic system.
 
+    Each step is ``StageWorkspace.rk4_step``, one compiled call per stage, which gives the
+    bits of ``state.rk4`` over :func:`_rhs`; the final record's P(0) comes from :func:`_rhs`.
     Advances until ``t_end`` or until breaking is detected (max|U| at or
     above ``slope_threshold``, or a non-finite state).  t_end and the save
     times must be whole numbers of steps.  Returns the trajectory (states at
@@ -120,11 +122,11 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
     ws = StageWorkspace(start.s)  # built once, used by every stage of this run
-    rhs = lambda t, Z: _rhs(ws, Z, pmv)  # autonomous; side output P0
+    step = ws.rk4_step(pmv, dt, lambda t, Z: _rhs(ws, Z, pmv))  # autonomous; side output P0
     rows = []  # (t, V|peak, P(0), U+, U-) of every finite state reached
     slopes = [float(np.max(np.abs(start.U)))]  # max|U| of the same states, taken by stop
     saved, _, t_stop, outcome = march(
-        rhs, start.stack(), dt, n_steps, saves,
+        step, start.stack(), dt, n_steps, saves,
         stop=lambda Z: slopes.append(float(np.abs(Z[3]).max())) or slopes[-1] >= slope_threshold,
         record=lambda t, Z, p0: rows.append((t, Z[2, 0], p0, Z[3, 0], Z[3, -1])))
     diag_t, v_peak, p0, u_right, u_left = np.array(rows).T

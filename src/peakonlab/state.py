@@ -11,8 +11,11 @@ Boundary identities that every valid state satisfies: X[0] = 0,
 X[-1] = 2*pi, W[0] = 0, W[-1] = 2*pi*vbar, V[0] = V[-1] (the peak value).
 
 The linear and nonlinear integrators share the t = 0 state, the fixed-step
-timeline (:func:`save_steps`) and :func:`march`, the one RK4 stepping loop;
-they advance the fields stacked as rows (X, W, V, U, J).
+timeline (:func:`save_steps`) and :func:`march`, the one stepping loop; they
+advance the fields stacked as rows (X, W, V, U, J).  march takes one step
+callable: the linear run's is :func:`rk4` of its NumPy vector field, the
+nonlinear run's is ``StageWorkspace.rk4_step``, one compiled call per stage
+that gives :func:`rk4`'s bits.
 """
 
 from __future__ import annotations
@@ -132,32 +135,46 @@ def save_steps(t_end: float, dt: float, save_times=None):
     return n_end, saves
 
 
-def march(rhs, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, record=None):
-    """Fixed-step classical RK4 for dZ/dt = f(t, Z), the one stepping loop.
+def rk4(rhs, dt: float):
+    """The classical RK4 step of dt for dZ/dt = f(t, Z), as ``step(t, Z)`` -> (Z one step
+    later, the first stage's extra), with rhs kept as ``step.rhs``.
 
-    ``rhs(t, Z)`` returns (f(t, Z), extra), f a fresh float array (or Z itself):
-    the stages are summed in place, in its memory.  Keeps (k*dt, Z) after every
-    step count k in ``saves`` (0 included), and passes every finite state
-    reached, the last included, to ``record(t, Z, extra)`` with its first-stage
-    extra; no state is written once made.  Ends after ``n_steps`` ("completed"),
-    after a step whose state satisfies ``stop(Z)`` ("stopped"), or at a step
-    that leaves the reals ("non-finite"; that state is dropped).  Returns
-    (saved pairs, last finite Z, its t, outcome).
+    ``rhs(t, Z)`` returns (f(t, Z), extra), f a fresh float array (or Z itself): the stages
+    are summed in place, in its memory, as (k1 + 2 k2) + 2 k3 + k4, then times dt/6, then
+    plus Z.  Z is never written.
+    """
+    def step(t, Z):
+        k1, extra = rhs(t, Z)
+        k2, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k1)
+        k3, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k2)
+        k4, _ = rhs(t + dt, Z + dt * k3)
+        np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)  # k1 + 2 k2 + 2 k3 + k4, in order
+        np.add(np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2), k4, out=k2)
+        return np.add(Z, np.multiply(k2, dt / 6.0, out=k2), out=k2), extra
+
+    step.rhs = rhs
+    return step
+
+
+def march(step, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, record=None):
+    """Fixed steps of dt by ``step(t, Z)`` -> (next state, extra), the one stepping loop.
+
+    ``step`` is :func:`rk4` or a step that gives its bits (``StageWorkspace.rk4_step``), so
+    it writes no state it was given.  Keeps (k*dt, Z) after every step count k in ``saves``
+    (0 included), and passes every finite state reached, the last included, to
+    ``record(t, Z, extra)`` with the extra of the step taken from it, or for the last state
+    of ``step.rhs(t, Z)``.  Ends after ``n_steps`` ("completed"), after a step whose state
+    satisfies ``stop(Z)`` ("stopped"), or at a step that leaves the reals ("non-finite";
+    that state is dropped).  Returns (saved pairs, last finite Z, its t, outcome).
     """
     saved = [(0.0, Z)] if 0 in saves else []
     t, outcome = 0.0, "completed"
     # overflow in a step is reported through the outcome, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1, extra = rhs(t, Z)
+            Z_next, extra = step(t, Z)
             if record is not None:
                 record(t, Z, extra)
-            k2, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k1)
-            k3, _ = rhs(t + 0.5 * dt, Z + 0.5 * dt * k2)
-            k4, _ = rhs(t + dt, Z + dt * k3)
-            np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)  # k1 + 2 k2 + 2 k3 + k4, in order
-            np.add(np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2), k4, out=k2)
-            Z_next = np.add(Z, np.multiply(k2, dt / 6.0, out=k2), out=k2)
             if not np.isfinite(Z_next).all():
                 return saved, Z, t, "non-finite"
             Z, t = Z_next, (k + 1) * dt
@@ -167,5 +184,5 @@ def march(rhs, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, reco
                 outcome = "stopped"
                 break
         if record is not None:
-            record(t, Z, rhs(t, Z)[1])
+            record(t, Z, step.rhs(t, Z)[1])
     return saved, Z, t, outcome

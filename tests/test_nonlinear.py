@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from peakonlab import linear, nonlinear
+from peakonlab import linear, nonlinear, state
 from peakonlab.convolution import (DensitySample, StageWorkspace, conv_q, node_convolutions,
                                    q_density)
 from peakonlab.energetics import check_conserved, energies
@@ -146,24 +146,78 @@ def test_rk4_self_convergence_order():
     assert e1 / e2 == pytest.approx(16.0, rel=0.35)
 
 
-def test_one_convolution_per_rhs_stage(monkeypatch):
-    # four RK4 stages per step plus the final record's stage, for a completed
-    # and a stopped run: a benchmark reads the step count off these calls
-    calls = []
-    original = nonlinear.node_convolutions
+def test_one_compiled_call_per_rk4_stage(monkeypatch):
+    # four calls of the compiled stage per step, plus the final record's one _rhs, for a
+    # completed and a stopped run
+    calls, rhs_calls, init, rhs = [], [], StageWorkspace.__init__, nonlinear._rhs
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted_init(self, *args):
+        init(self, *args)
+        stage = self.rk4_stage
+        self.rk4_stage = lambda *a: calls.append(1) or stage(*a)
 
-    monkeypatch.setattr(nonlinear, "node_convolutions", counted)
+    monkeypatch.setattr(StageWorkspace, "__init__", counted_init)
+    monkeypatch.setattr(nonlinear, "_rhs", lambda *a: rhs_calls.append(1) or rhs(*a))
     run = integrate_nonlinear(sine(0.01), 0.05, dt=1e-2, n_chars=32)
-    assert run.status == "completed" and len(calls) == 4 * 5 + 1
-    calls.clear()
+    assert run.status == "completed" and len(calls) == 4 * 5 and len(rhs_calls) == 1
+    calls.clear(), rhs_calls.clear()
     run = integrate_nonlinear(bump(-0.5), 6.0, dt=1e-2, n_chars=32)
     steps = round(run.t_stop / 1e-2)
     assert run.status == "blew_up" and 0 < steps < 600
-    assert len(calls) == 4 * steps + 1
+    assert len(calls) == 4 * steps and len(rhs_calls) == 1
+
+
+def test_compiled_step_matches_the_numpy_rk4_step_bitwise():
+    # the warped states at n = 16, 129, 512 and 4096, and one whose slope U ~ 1e200
+    # overflows every stage
+    ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
+    big = linear.exact_state(1.3, ic, 257)
+    overflowing = big.stack()
+    overflowing[3] *= 1e200 / np.max(np.abs(overflowing[3]))
+    cases = [(st.s, st.stack(), st.vbar) for st in _warped_states()]
+    cases += [(st.s, st.stack(), st.vbar) for st in (linear.exact_state(1.3, ic, 4096),
+                                                      linear.exact_state(1.9, ic, 16))]
+    cases.append((big.s, overflowing, big.vbar))
+    for s, Z, vbar in cases:
+        ws, pmv = StageWorkspace(s), math.pi * m * m * vbar
+        rhs = lambda t, Z: nonlinear._rhs(ws, Z, pmv)
+        for dt in (1e-2, 5e-4):
+            kept = Z.copy()
+            with np.errstate(all="ignore"):
+                got, p0 = ws.rk4_step(pmv, dt, rhs)(0.0, Z)
+                want, want_p0 = state.rk4(rhs, dt)(0.0, Z)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(p0, want_p0, equal_nan=True)
+            assert np.array_equal(Z, kept)
+    assert not np.isfinite(got).all()  # the overflow case
+    with pytest.raises(ValueError):
+        ws.rk4_step(pmv, dt, rhs)(0.0, Z[:4])
+
+
+def test_integrate_nonlinear_matches_a_march_over_the_numpy_step(monkeypatch):
+    # completed, stopped and non-finite runs, each against the same run whose march steps
+    # by state.rk4 over _rhs
+    dt = 1e-2
+    runs = [(sine(0.01), 0.5, 64, 1e6, [0.0, 0.2, 0.5]),
+            (bump(-0.5), 6.0, 32, 1e6, [0.0, 0.5, 1.4]),
+            (bump(-0.5), 6.0, 32, 1e300, [0.0, 0.5, 1.4])]
+    run = lambda ic, t_end, n, threshold, saves: integrate_nonlinear(
+        ic, t_end, dt=dt, n_chars=n, slope_threshold=threshold, save_times=saves)
+    compiled = [run(*args) for args in runs]
+    monkeypatch.setattr(StageWorkspace, "rk4_step",
+                        lambda ws, pmv, dt, rhs: state.rk4(rhs, dt))
+    for args, got in zip(runs, compiled):
+        want = run(*args)
+        assert len(got.states) == len(want.states) > 1
+        for a, b in zip(got.states, want.states):
+            assert a.t == b.t and all(np.array_equal(getattr(a, f), getattr(b, f))
+                                      for f in "XVWUJ")
+        for f in ("diag_t", "diag_v_peak", "diag_p0", "diag_u_right", "diag_u_left"):
+            assert np.array_equal(getattr(got, f), getattr(want, f), equal_nan=True)
+        assert (got.t_stop, got.status, got.max_abs_slope) == (want.t_stop, want.status,
+                                                                want.max_abs_slope)
+    assert [run.status for run in compiled] == ["completed", "blew_up", "blew_up"]
+    assert compiled[2].max_abs_slope == math.inf > compiled[1].max_abs_slope
 
 
 def _reference_stage(s, Z, pmv):

@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 from peakonlab.linear import integrate_linear
 from peakonlab.nonlinear import integrate_nonlinear
 from peakonlab.profiles import InitialCondition, bump, cosine, sine
-from peakonlab.state import CharacteristicState, cosine_grid, initial_state, march
+from peakonlab.state import CharacteristicState, cosine_grid, initial_state, march, rk4
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,7 +91,7 @@ def test_grid_size_guard():
 def test_march_matches_rk4_growth_factor():
     # for dZ/dt = Z one RK4 step multiplies by the degree-4 Taylor polynomial of e^h
     h, k = 0.1, 12
-    saved, Z, t, outcome = march(lambda t, Z: (Z, None), np.array([1.0]), h, k)
+    saved, Z, t, outcome = march(rk4(lambda t, Z: (Z, None), h), np.array([1.0]), h, k)
     assert outcome == "completed" and t == k * h and saved == []
     assert Z[0] == pytest.approx((1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24) ** k,
                                  rel=1e-14, abs=0)
@@ -100,7 +100,7 @@ def test_march_matches_rk4_growth_factor():
 def test_march_saves_and_records():
     dt, k = 0.1, 7
     seen = []
-    saved, Z, t, _ = march(lambda t, Z: (Z, t), np.array([1.0]), dt, k, saves={0, k},
+    saved, Z, t, _ = march(rk4(lambda t, Z: (Z, t), dt), np.array([1.0]), dt, k, saves={0, k},
                            record=lambda t, Z, extra: seen.append((t, extra, Z[0])))
     assert [ts for ts, _ in saved] == [0.0, k * dt]
     assert saved[0][1][0] == 1.0 and saved[1][1] is Z
@@ -112,8 +112,8 @@ def test_march_saves_and_records():
 
 def test_march_stops_after_first_crossing_step():
     dt = 0.1
-    _, Z, t, outcome = march(lambda t, Z: (np.ones_like(Z), None), np.array([0.0]), dt, 20,
-                             stop=lambda Z: Z[0] >= 0.35)
+    _, Z, t, outcome = march(rk4(lambda t, Z: (np.ones_like(Z), None), dt), np.array([0.0]),
+                             dt, 20, stop=lambda Z: Z[0] >= 0.35)
     assert outcome == "stopped"
     assert t == 4 * dt and Z[0] == pytest.approx(0.4)
 
@@ -129,7 +129,7 @@ def test_march_reports_non_finite_step_without_warning():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, Z, t, outcome = march(rhs, np.array([1.0, 1.0]), dt, 10,
+        _, Z, t, outcome = march(rk4(rhs, dt), np.array([1.0, 1.0]), dt, 10,
                                  record=lambda t, Z, _: seen.append(t))
     assert outcome == "non-finite"
     assert t == 2 * dt
@@ -154,15 +154,16 @@ def test_march_sums_stages_in_place_to_the_same_bits():
     rng = np.random.default_rng(7)
     A, Z0 = rng.normal(size=(3, 3)), rng.normal(size=(3, 4))
     rhs = lambda t, Z: (np.sin(A @ Z) * Z + math.cos(t) * Z * Z - 0.3 * Z, None)
-    _, Z, _, outcome = march(rhs, Z0, 0.05, 20)
+    _, Z, _, outcome = march(rk4(rhs, 0.05), Z0, 0.05, 20)
     assert outcome == "completed"
     assert np.array_equal(Z, _reference_rk4(rhs, Z0, 0.05, 20))
 
 
 def test_march_never_writes_a_state_it_kept():
     seen = []
-    saved, Z, _, _ = march(lambda t, Z: (np.sin(Z) - 0.5 * Z, t), np.linspace(0.1, 1.0, 6), 0.1,
-                           8, saves=range(9), record=lambda t, Z, _: seen.append((Z, Z.copy())))
+    saved, Z, _, _ = march(rk4(lambda t, Z: (np.sin(Z) - 0.5 * Z, t), 0.1),
+                           np.linspace(0.1, 1.0, 6), 0.1, 8, saves=range(9),
+                           record=lambda t, Z, _: seen.append((Z, Z.copy())))
     assert len(seen) == len(saved) == 9 and saved[-1][1] is Z
     assert all(np.array_equal(kept, copy) for kept, copy in seen)
     assert all(Zk is kept for (_, Zk), (kept, _) in zip(saved, seen))
