@@ -28,7 +28,7 @@ static double density(const double *V, const double *U, const double *J, long k)
 /* QP = (Q, P), 2 x n.  The running Hermite integrals of (cosh, sinh)(X) g from
  * the first node are kept in Q and P until the second loop turns them into the
  * convolutions. */
-void stage_convolutions(const stage *w, double *restrict QP)
+static void stage_convolutions(const stage *w, double *restrict QP)
 {
     const long n = w->n;
     const double *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
@@ -68,7 +68,7 @@ void stage_convolutions(const stage *w, double *restrict QP)
 }
 
 /* dZ = (dX, dW, dV, dU, dJ), 5 x n, of Z = (X, W, V, U, J) given QP = (Q, P). */
-void stage_derivative(const stage *w, const double *QP, double *restrict dZ, double pmv)
+static void stage_derivative(const stage *w, const double *QP, double *restrict dZ, double pmv)
 {
     const long n = w->n;
     const double *W = w->rows, *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
@@ -95,7 +95,7 @@ typedef struct {
     double *out;
     double *QP, *k, *acc; /* 2 x n and 5 x n each */
     double *args; /* 3 x n, the table's arguments */
-    double pmv, dt6;
+    double pmv, dt6; /* pmv as rk4_start was given it */
     double h[3]; /* the next stage's input is Z + h[j] k after stage j: dt/2, dt/2, dt */
 } rk4;
 
@@ -110,7 +110,7 @@ static void stage_input(const stage *w, double *restrict args, const double *Z,
     double *restrict rows = w->rows;
     for (long i = 0; i < n; i++) {
         double x = k ? Z[i] + h * k[i] : Z[i];
-        args[i] = x + 0.0; /* as NumPy adds the zero shift: -0.0 becomes +0.0 */
+        args[i] = x + 0.0; /* -0.0 becomes +0.0: the table of X + 0, not of X */
         args[n + i] = x - PI;
         args[2 * n + i] = x + PI;
     }
@@ -118,10 +118,10 @@ static void stage_input(const stage *w, double *restrict args, const double *Z,
         rows[i - n] = k ? Z[i] + h * k[i] : Z[i];
 }
 
-/* Starts a step from Z into out with Z as the first stage's input. */
-void rk4_start(const stage *w, rk4 *r, const double *Z, double *out)
+/* Starts a step from Z into out with Z as the first stage's input and pmv as its mean term. */
+void rk4_start(const stage *w, rk4 *r, const double *Z, double *out, double pmv)
 {
-    r->Z = Z, r->out = out;
+    r->Z = Z, r->out = out, r->pmv = pmv;
     stage_input(w, r->args, Z, 0, 0.0);
 }
 

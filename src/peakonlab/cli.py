@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import energetics, linear, nonlinear, waves
+from . import convolution, energetics, linear, nonlinear, waves
 from .kernel import M, TWO_PI
 from .profiles import InitialCondition
 from .state import cosine_grid, initial_state
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         return run_scenario(config)
     except (ConfigError, waves.ClassificationError, linear.IntegrationError, ValueError,
-            OSError) as exc:  # OSError: writing the outputs
+            OSError, convolution.StageBuildError) as exc:  # OSError: writing the outputs
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

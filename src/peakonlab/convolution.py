@@ -25,10 +25,10 @@ The O(n) path runs in ``_stage.c``, a C kernel that the first
 built with (a compiler is required for every nonlinear stage) and caches in
 this package's ``__pycache__``.  It is built with ``-ffp-contract=off``, since
 a fused multiply-add would round differently from the NumPy formulas it
-reproduces bit for bit; NumPy still fills its cosh/sinh table.  The kernel also
-runs a whole RK4 step of the nonlinear run (:meth:`StageWorkspace.rk4_step`):
-one call per stage after the table, which adds the stage to the step's sum and
-writes the next stage's input into the workspace.
+reproduces bit for bit; NumPy still fills its cosh/sinh table.  The kernel runs
+whole RK4 steps (:meth:`StageWorkspace.rk4_step`): one call per stage after the
+table, which adds the stage to the step's sum and writes the next stage's input
+into the workspace.  A lone stage is the first stage of such a step.
 
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
@@ -126,6 +126,10 @@ class _RK4(ctypes.Structure):
                 ("pmv", ctypes.c_double), ("dt6", ctypes.c_double), ("h", ctypes.c_double * 3)]
 
 
+class StageBuildError(RuntimeError):
+    """The C compiler could not build ``_stage.c``; the message names the command and its stderr."""
+
+
 _STAGE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")  # no fused multiply-add
 
 
@@ -134,7 +138,7 @@ def _load_stage(cache_dir, cc):
     into cache_dir unless a build of the same source and flags is there already.  The build
     goes to a temporary file that is then renamed, so a concurrent load never sees half of
     it, and then the other ``_stage-*.so`` builds there are deleted; a failed build raises
-    RuntimeError with the command and the compiler's stderr."""
+    :class:`StageBuildError` with the command and the compiler's stderr."""
     try:  # CPython's own SHA-256: hashlib would map OpenSSL, 3.7 MB more peak RSS
         from _sha2 import sha256  # Python 3.12 and later
     except ImportError:
@@ -152,15 +156,15 @@ def _load_stage(cache_dir, cc):
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
         os.close(fd)
         cmd = [*cc, *_STAGE_FLAGS, "-o", tmp, str(source)]
+        failed = f"building the stage kernel failed: {' '.join(cmd)}\n"
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode != 0:
-                raise RuntimeError(f"building the stage kernel failed: {' '.join(cmd)}\n"
-                                   f"{proc.stderr}")
+                raise StageBuildError(failed + proc.stderr)
             os.chmod(tmp, 0o755)  # mkstemp made it private to this user
             os.replace(tmp, path)
         except OSError as exc:
-            raise RuntimeError(f"building the stage kernel failed: {' '.join(cmd)}\n{exc}") from exc
+            raise StageBuildError(failed + str(exc)) from exc
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -169,11 +173,9 @@ def _load_stage(cache_dir, cc):
                 old.unlink()
     lib = ctypes.CDLL(str(path))
     stage = ctypes.POINTER(_Stage)
-    lib.stage_convolutions.argtypes = (stage, _DOUBLES)
-    lib.stage_derivative.argtypes = (stage, _DOUBLES, _DOUBLES, ctypes.c_double)
-    lib.rk4_start.argtypes = (stage, ctypes.POINTER(_RK4), _DOUBLES, _DOUBLES)
+    lib.rk4_start.argtypes = (stage, ctypes.POINTER(_RK4), _DOUBLES, _DOUBLES, ctypes.c_double)
     lib.rk4_stage.argtypes = (stage, ctypes.POINTER(_RK4), ctypes.c_int)
-    lib.stage_convolutions.restype = lib.stage_derivative.restype = lib.rk4_start.restype = None
+    lib.rk4_start.restype = None
     lib.rk4_stage.restype = ctypes.c_double
     return lib
 
@@ -192,10 +194,9 @@ def _stage_library():
 class StageWorkspace:
     """A nonlinear RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the memory
     the stage reads (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh``
-    and ``sinh``: 16 n floats with the shifts) and the compiled kernel ``_stage.c`` that reads
-    only that memory, given its pointers once.  Built by whoever runs the stages (once per run
-    in ``integrate_nonlinear``); :func:`node_convolutions`, ``nonlinear._rhs`` and the steps
-    of :meth:`rk4_step` use it."""
+    and ``sinh``: 13 n floats) and the compiled kernel ``_stage.c`` that reads only that
+    memory, given its pointers once.  Built by whoever runs the stages (once per run in
+    ``integrate_nonlinear``); the steps of :meth:`rk4_step` and :meth:`first_stage` use it."""
 
     def __init__(self, s):
         self.grid = as_grid(s)
@@ -203,10 +204,8 @@ class StageWorkspace:
         if n < 3:
             raise ValueError("a stage needs at least 3 nodes")
         lib = _stage_library()
-        self.convolutions, self.derivative = lib.stage_convolutions, lib.stage_derivative
         self.rk4_start, self.rk4_stage = lib.rk4_start, lib.rk4_stage
         self.shape = (n,)
-        self.shifts = np.repeat([[0.0], [-math.pi], [math.pi]], n, axis=1)  # one per element
         self.args, table, self.rows = np.empty((3, n)), np.empty((2, 3, n)), np.empty((4, n))
         self.cosh, self.sinh = table  # of the args
         (a, b, c), first, last = self.grid.stencil
@@ -214,9 +213,9 @@ class StageWorkspace:
         self.stage = ctypes.pointer(_Stage(
             n, *(r.ctypes.data_as(_DOUBLES) for r in memory), *first, *last, 0.5 * m, m, M))
 
-    def rk4_step(self, pmv: float, dt: float, rhs):
+    def rk4_step(self, pmv: float, dt: float):
         """The classical RK4 step of dt for the nonlinear flow, ``state.rk4(rhs, dt)`` bit for
-        bit when rhs(t, Z) is ``nonlinear._rhs(self, Z, pmv)`` (kept as ``step.rhs``).
+        bit when rhs(t, Z) is ``nonlinear._rhs(self, Z, pmv)``.
 
         ``step(t, Z)`` takes the (5, n) rows Z = (X, W, V, U, J) (another shape raises
         ValueError) and returns (Z one step later, a new array, and the first stage's P(0)).
@@ -224,21 +223,34 @@ class StageWorkspace:
         ``args`` into the table and one compiled call, which runs the stage, adds its
         derivative to the step's sum in ``state.rk4``'s order and writes the next stage's
         input (or the result) into ``rows`` and ``args``."""
+        return self._stages(pmv, dt, 4)
+
+    def first_stage(self, Z: np.ndarray, pmv: float):
+        """The first stage of a :meth:`rk4_step` step from Z: its derivative dZ, (5, n), and
+        its (Q, P), (2, n), in this workspace's memory, which the next first stage overwrites."""
+        if "_first" not in vars(self):  # built once: its ctypes struct costs more than a stage
+            self._first = self._stages(0.0, 0.0, 1)
+        self._first(0.0, Z, pmv)
+        QP, dZ = self._first.memory[:2]
+        return dZ, QP
+
+    def _stages(self, pmv: float, dt: float, count: int):
+        """The step of :meth:`rk4_step` cut after its first count stages (4: the whole step), each
+        of which leaves its (Q, P) and its derivative in ``step.memory``'s QP and k."""
         shape = (5,) + self.shape
-        scratch = np.empty((2,) + self.shape), np.empty(shape), np.empty(shape)  # QP, k, acc
-        rk4 = ctypes.pointer(_RK4(None, None, *(a.ctypes.data_as(_DOUBLES)
-                                                for a in (*scratch, self.args)),
-                                  pmv, dt / 6.0, (0.5 * dt, 0.5 * dt, dt)))
+        memory = np.empty((2,) + self.shape), np.empty(shape), np.empty(shape), self.args
+        rk4 = ctypes.pointer(_RK4(None, None, *(a.ctypes.data_as(_DOUBLES) for a in memory),
+                                  0.0, dt / 6.0, (0.5 * dt, 0.5 * dt, dt)))
         start, stage, w, args, cosh, sinh = (self.rk4_start, self.rk4_stage, self.stage,
                                              self.args, self.cosh, self.sinh)
 
-        def step(t, Z):
+        def step(t, Z, pmv=pmv):
             Z = np.ascontiguousarray(Z, dtype=float)
             if Z.shape != shape:  # the kernel would read past the end of a smaller Z
                 raise ValueError(f"a step needs the {shape} rows X, W, V, U, J, got {Z.shape}")
             out = np.empty(shape)
-            start(w, rk4, ctypes.c_double.from_buffer(Z), ctypes.c_double.from_buffer(out))
-            for j in range(4):
+            start(w, rk4, ctypes.c_double.from_buffer(Z), ctypes.c_double.from_buffer(out), pmv)
+            for j in range(count):
                 np.cosh(args, out=cosh)
                 np.sinh(args, out=sinh)
                 p = stage(w, rk4, j)
@@ -246,7 +258,7 @@ class StageWorkspace:
                     p0 = p  # the extra: P(0) of Z itself
             return out, p0
 
-        step.rhs, step.scratch = rhs, scratch  # scratch: the memory rk4 points at
+        step.memory = memory  # QP, k, acc and args: what rk4 points at
         return step
 
 
@@ -258,22 +270,16 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     sinh(X) g, g = q J, over the characteristic parameter s, read from below
     and from above every node.  On a position grid (X = s, J = 1) this is
     algebraically the panel-split rule of :func:`conv_q`/:func:`conv_p`, at O(n)
-    instead of O(n^2).  NumPy fills the cosh/sinh table of the :class:`StageWorkspace`
-    ``s`` (``nonlinear._rhs`` reads it next), the compiled kernel does the rest with the
-    operations of the :mod:`.quadrature` rules.  ``s`` may also be the nodes or their
-    :class:`.quadrature.Grid`, for which a new workspace is built and dropped.  V, U and J
-    are copied into its float64 rows and X is added to its shifts, so each may be anything
-    that broadcasts to a row of n; another shape raises ValueError.
+    instead of O(n^2).  They are the (Q, P) of the first stage on the :class:`StageWorkspace`
+    ``s`` from the rows (X, 0, V, U, J), so each of X, V, U and J may be anything that
+    broadcasts to a row of n; another shape raises ValueError.  ``s`` may also be the nodes
+    or their :class:`.quadrature.Grid`, for which a new workspace is built and dropped.
     """
     ws = s if isinstance(s, StageWorkspace) else StageWorkspace(s)
-    for row, x in zip(ws.rows[1:], (V, U, J)):
-        np.copyto(row, x)  # a no-op for the row itself, as nonlinear._rhs passes it
-    np.add(X, ws.shifts, out=ws.args)
-    np.cosh(ws.args, out=ws.cosh)
-    np.sinh(ws.args, out=ws.sinh)
-    QP = np.empty((2,) + ws.shape)  # new: Q and P are returned
-    ws.convolutions(ws.stage, ctypes.c_double.from_buffer(QP))
-    return QP
+    Z = np.empty((5,) + ws.shape)
+    for row, x in zip(Z, (X, 0.0, V, U, J)):
+        np.copyto(row, x)
+    return ws.first_stage(Z, 0.0)[1].copy()
 
 
 def reduction_identity_gap(profile, x: float, nodes: int = 4096) -> float:

@@ -37,12 +37,11 @@ non-finite); the reported stop time is the last completed step.
 from __future__ import annotations
 
 import math
-from ctypes import c_double
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import StageWorkspace, node_convolutions
+from .convolution import StageWorkspace
 from .kernel import M, TWO_PI, m, phi
 from .profiles import InitialCondition
 from .state import CharacteristicState, initial_state, march, save_steps
@@ -81,16 +80,10 @@ class NonlinearTrajectory:
 
 
 def _rhs(ws: StageWorkspace, Z: np.ndarray, pmv: float):
-    """Stage derivative for the 5 stacked rows Z = (X, W, V, U, J) in the caller's workspace
-    ws, into whose rows Z[1:] is copied (another shape raises ValueError); returns (dZ, P0),
-    dZ a new array."""
-    if len(Z) != 5:  # copyto would broadcast a lone second row into all four
-        raise ValueError(f"a stage needs the 5 rows X, W, V, U, J, got {len(Z)}")
-    np.copyto(ws.rows, Z[1:])
-    QP = node_convolutions(ws, Z[0], *ws.rows[1:])
-    dZ = np.empty((5,) + ws.shape)
-    ws.derivative(ws.stage, c_double.from_buffer(QP), c_double.from_buffer(dZ), pmv)
-    return dZ, QP.item(1, 0)
+    """(dZ, P0) of the first stage of a step from the 5 stacked rows Z = (X, W, V, U, J) in the
+    caller's workspace ws (another shape raises ValueError); dZ is a new array."""
+    dZ, QP = ws.first_stage(Z, pmv)
+    return dZ.copy(), QP.item(1, 0)
 
 
 def nl_rhs(state: CharacteristicState) -> StateDerivative:
@@ -109,7 +102,7 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     """Fixed-step RK4 for the nonlinear characteristic system.
 
     Each step is ``StageWorkspace.rk4_step``, one compiled call per stage, which gives the
-    bits of ``state.rk4`` over :func:`_rhs`; the final record's P(0) comes from :func:`_rhs`.
+    bits of ``state.rk4`` over :func:`_rhs`; the final record's P(0) comes from one more step.
     Advances until ``t_end`` or until breaking is detected (max|U| at or
     above ``slope_threshold``, or a non-finite state).  t_end and the save
     times must be whole numbers of steps.  Returns the trajectory (states at
@@ -122,7 +115,7 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     start = initial_state(ic, n_chars)
     pmv = math.pi * m * m * ic.vbar
     ws = StageWorkspace(start.s)  # built once, used by every stage of this run
-    step = ws.rk4_step(pmv, dt, lambda t, Z: _rhs(ws, Z, pmv))  # autonomous; side output P0
+    step = ws.rk4_step(pmv, dt)  # autonomous; side output P0
     rows = []  # (t, V|peak, P(0), U+, U-) of every finite state reached
     slopes = [float(np.max(np.abs(start.U)))]  # max|U| of the same states, taken by stop
     saved, _, t_stop, outcome = march(

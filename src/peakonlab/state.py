@@ -13,9 +13,9 @@ X[-1] = 2*pi, W[0] = 0, W[-1] = 2*pi*vbar, V[0] = V[-1] (the peak value).
 The linear and nonlinear integrators share the t = 0 state, the fixed-step
 timeline (:func:`save_steps`) and :func:`march`, the one stepping loop; they
 advance the fields stacked as rows (X, W, V, U, J).  march takes one step
-callable: the linear run's is :func:`rk4` of its NumPy vector field, the
-nonlinear run's is ``StageWorkspace.rk4_step``, one compiled call per stage
-that gives :func:`rk4`'s bits.
+callable, step(t, Z) -> (next Z, extra): the linear run's is :func:`rk4` of
+its NumPy vector field, the nonlinear run's is ``StageWorkspace.rk4_step``,
+one compiled call per stage that gives :func:`rk4`'s bits.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def save_steps(t_end: float, dt: float, save_times=None):
 
 def rk4(rhs, dt: float):
     """The classical RK4 step of dt for dZ/dt = f(t, Z), as ``step(t, Z)`` -> (Z one step
-    later, the first stage's extra), with rhs kept as ``step.rhs``.
+    later, the first stage's extra).
 
     ``rhs(t, Z)`` returns (f(t, Z), extra), f a fresh float array (or Z itself): the stages
     are summed in place, in its memory, as (k1 + 2 k2) + 2 k3 + k4, then times dt/6, then
@@ -152,7 +152,6 @@ def rk4(rhs, dt: float):
         np.add(np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2), k4, out=k2)
         return np.add(Z, np.multiply(k2, dt / 6.0, out=k2), out=k2), extra
 
-    step.rhs = rhs
     return step
 
 
@@ -162,8 +161,8 @@ def march(step, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, rec
     ``step`` is :func:`rk4` or a step that gives its bits (``StageWorkspace.rk4_step``), so
     it writes no state it was given.  Keeps (k*dt, Z) after every step count k in ``saves``
     (0 included), and passes every finite state reached, the last included, to
-    ``record(t, Z, extra)`` with the extra of the step taken from it, or for the last state
-    of ``step.rhs(t, Z)``.  Ends after ``n_steps`` ("completed"), after a step whose state
+    ``record(t, Z, extra)`` with the extra of the step taken from it, for the last state of
+    one more step.  Ends after ``n_steps`` ("completed"), after a step whose state
     satisfies ``stop(Z)`` ("stopped"), or at a step that leaves the reals ("non-finite";
     that state is dropped).  Returns (saved pairs, last finite Z, its t, outcome).
     """
@@ -184,5 +183,5 @@ def march(step, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, rec
                 outcome = "stopped"
                 break
         if record is not None:
-            record(t, Z, step.rhs(t, Z)[1])
+            record(t, Z, step(t, Z)[1])
     return saved, Z, t, outcome

@@ -323,6 +323,19 @@ def test_linear_modes_and_classify_never_load_the_stage_kernel(tmp_path, monkeyp
         main(["nonlinear", *run, "--out", str(tmp_path / "nl")])
 
 
+def test_a_failed_kernel_build_is_reported_as_an_error(tmp_path, monkeypatch, capsys):
+    from peakonlab import convolution
+
+    monkeypatch.setattr(convolution, "_stage_library",
+                        lambda: convolution._load_stage(tmp_path / "cache", ["/nonexistent/cc"]))
+    out = tmp_path / "nl"
+    code = main(["nonlinear", "--ic", "0.1*sin", "--t", "0,0.1", "--dt", "1e-2",
+                 "--nchars", "32", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: building the stage kernel failed: ")
+    assert not out.exists()
+
+
 def test_error_exit_code_on_bad_ic(tmp_path):
     code = main(["linear-exact", "--ic", "sin**", "--t", "1",
                  "--out", str(tmp_path / "x")])

@@ -1,6 +1,7 @@
 """Nonlocal operators: the O(n^2) oracle, the O(n) path and its compiled kernel, and the
 reduction identity."""
 
+import hashlib
 import math
 import os
 import shlex
@@ -271,7 +272,10 @@ def test_the_stage_kernel_is_built_once_per_source_and_flags(monkeypatch, tmp_pa
     cv._load_stage(tmp_path, cc)
     assert len(runs) == 1 and runs[0][:len(cc)] == cc and "-ffp-contract=off" in runs[0]
     built = list(tmp_path.iterdir())  # the new library alone: no temporary file, no old build
-    assert len(built) == 1 and built[0].name.startswith("_stage-") and built != [stale]
+    # named by the sha256 of the source and flags, on each Python's import branch of it
+    source = Path(cv.__file__).with_name("_stage.c").read_bytes()
+    key = hashlib.sha256(source + " ".join(cv._STAGE_FLAGS).encode()).hexdigest()
+    assert [p.name for p in built] == [f"_stage-{key[:16]}.so"]
     assert built[0].stat().st_mode & 0o555 == 0o555  # loadable by every user
     cv._load_stage(tmp_path, cc)  # a second load in this process
     assert len(runs) == 1
@@ -289,10 +293,10 @@ def test_the_stage_kernel_is_built_once_per_source_and_flags(monkeypatch, tmp_pa
 
 
 def test_a_failed_build_names_the_command_and_its_stderr(tmp_path):
-    with pytest.raises(RuntimeError, match="peakonlab-no-such-compiler"):
+    with pytest.raises(cv.StageBuildError, match="peakonlab-no-such-compiler"):
         cv._load_stage(tmp_path / "a", ["peakonlab-no-such-compiler"])
     failing = [sys.executable, "-c", "import sys; sys.exit('cc: unknown option')"]
-    with pytest.raises(RuntimeError, match="cc: unknown option") as err:
+    with pytest.raises(cv.StageBuildError, match="cc: unknown option") as err:
         cv._load_stage(tmp_path / "b", failing)
     assert "-ffp-contract=off" in str(err.value)
     assert not list((tmp_path / "b").iterdir())  # nothing half written is left

@@ -147,8 +147,8 @@ def test_rk4_self_convergence_order():
 
 
 def test_one_compiled_call_per_rk4_stage(monkeypatch):
-    # four calls of the compiled stage per step, plus the final record's one _rhs, for a
-    # completed and a stopped run
+    # four calls of the compiled stage per step, plus the final record's one more step, and
+    # no _rhs, for a completed and a stopped run
     calls, rhs_calls, init, rhs = [], [], StageWorkspace.__init__, nonlinear._rhs
 
     def counted_init(self, *args):
@@ -159,12 +159,12 @@ def test_one_compiled_call_per_rk4_stage(monkeypatch):
     monkeypatch.setattr(StageWorkspace, "__init__", counted_init)
     monkeypatch.setattr(nonlinear, "_rhs", lambda *a: rhs_calls.append(1) or rhs(*a))
     run = integrate_nonlinear(sine(0.01), 0.05, dt=1e-2, n_chars=32)
-    assert run.status == "completed" and len(calls) == 4 * 5 and len(rhs_calls) == 1
+    assert run.status == "completed" and len(calls) == 4 * (5 + 1) and not rhs_calls
     calls.clear(), rhs_calls.clear()
     run = integrate_nonlinear(bump(-0.5), 6.0, dt=1e-2, n_chars=32)
     steps = round(run.t_stop / 1e-2)
     assert run.status == "blew_up" and 0 < steps < 600
-    assert len(calls) == 4 * steps and len(rhs_calls) == 1
+    assert len(calls) == 4 * (steps + 1) and not rhs_calls
 
 
 def test_compiled_step_matches_the_numpy_rk4_step_bitwise():
@@ -184,19 +184,19 @@ def test_compiled_step_matches_the_numpy_rk4_step_bitwise():
         for dt in (1e-2, 5e-4):
             kept = Z.copy()
             with np.errstate(all="ignore"):
-                got, p0 = ws.rk4_step(pmv, dt, rhs)(0.0, Z)
+                got, p0 = ws.rk4_step(pmv, dt)(0.0, Z)
                 want, want_p0 = state.rk4(rhs, dt)(0.0, Z)
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(p0, want_p0, equal_nan=True)
             assert np.array_equal(Z, kept)
     assert not np.isfinite(got).all()  # the overflow case
     with pytest.raises(ValueError):
-        ws.rk4_step(pmv, dt, rhs)(0.0, Z[:4])
+        ws.rk4_step(pmv, dt)(0.0, Z[:4])
 
 
 def test_integrate_nonlinear_matches_a_march_over_the_numpy_step(monkeypatch):
     # completed, stopped and non-finite runs, each against the same run whose march steps
-    # by state.rk4 over _rhs
+    # by state.rk4 over _rhs, the first stage of the compiled step
     dt = 1e-2
     runs = [(sine(0.01), 0.5, 64, 1e6, [0.0, 0.2, 0.5]),
             (bump(-0.5), 6.0, 32, 1e6, [0.0, 0.5, 1.4]),
@@ -205,7 +205,7 @@ def test_integrate_nonlinear_matches_a_march_over_the_numpy_step(monkeypatch):
         ic, t_end, dt=dt, n_chars=n, slope_threshold=threshold, save_times=saves)
     compiled = [run(*args) for args in runs]
     monkeypatch.setattr(StageWorkspace, "rk4_step",
-                        lambda ws, pmv, dt, rhs: state.rk4(rhs, dt))
+                        lambda ws, pmv, dt: state.rk4(lambda t, Z: nonlinear._rhs(ws, Z, pmv), dt))
     for args, got in zip(runs, compiled):
         want = run(*args)
         assert len(got.states) == len(want.states) > 1
@@ -292,8 +292,7 @@ def test_stage_results_on_one_workspace_are_new_arrays():
 
 
 def test_a_stage_needs_all_five_rows():
-    # the rows are copied into the workspace, where a (2, n) Z would broadcast its
-    # second row into W, V, U and J
+    # the kernel reads five rows of n from Z, so any other shape is refused before the call
     st, _, _ = _warped_states()
     ws, Z = StageWorkspace(st.s), st.stack()
     for bad in (Z[:1], Z[:2], np.vstack([Z, Z[:1]])):
