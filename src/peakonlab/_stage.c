@@ -1,12 +1,13 @@
-/* One nonlinear RK4 stage of peakonlab on n characteristic nodes, as two loops, and the
- * RK4 step around it.
+/* One RK4 stage of peakonlab on n characteristic nodes, and the RK4 step around it: a
+ * nonlinear stage as two loops, a linearized one (no convolutions) as one.
  *
  * Every float operation is the one, and in the order, of the NumPy formulas the
- * tests keep as the oracle (tests/test_nonlinear.py::_reference_stage for a stage,
- * state.rk4 for a step), so the results are bit for bit theirs.  That holds only when
- * the compiler neither fuses a multiply and an add (build with -ffp-contract=off) nor
- * reassociates (no -ffast-math).  A stage reads only its workspace, whose cosh/sinh
- * table NumPy fills before each stage (its SIMD cosh and sinh do not round as libm does);
+ * tests keep as the oracle (tests/test_nonlinear.py::_reference_stage for a nonlinear
+ * stage, linear._linear_rhs for a linear one, state.rk4 for a step), so the results are
+ * bit for bit theirs.  That holds only when the compiler neither fuses a multiply and an
+ * add (build with -ffp-contract=off) nor reassociates (no -ffast-math).  A stage reads
+ * only its workspace, whose cosh/sinh table NumPy fills before each stage (only its X and
+ * X - pi rows for a linear stage; its SIMD cosh and sinh do not round as libm does);
  * a step also reads the state it starts from and writes the one it ends at.
  */
 
@@ -88,6 +89,26 @@ static void stage_derivative(const stage *w, const double *QP, double *restrict 
     dX[0] = dX[n - 1] = 0.0; /* the peak characteristics are exact fixed points */
 }
 
+/* dZ of the linearized flow, linear._linear_rhs's formulas in its order.  Its
+ * phi = m cosh(pi - X) is m cosh(X - pi) bit for bit: pi - X rounds to -(X - pi) and
+ * NumPy's cosh is even. */
+static void linear_derivative(const stage *w, double *restrict dZ, double pmv)
+{
+    const long n = w->n;
+    const double *W = w->rows, *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
+    const double *coshX = w->cosh, *sinhX = w->sinh, *ch_lo = w->cosh + n, *sh_lo = w->sinh + n;
+    double *dX = dZ, *dW = dZ + n, *dV = dZ + 2 * n, *dU = dZ + 3 * n, *dJ = dZ + 4 * n;
+    for (long k = 0; k < n; k++) {
+        double ph = ch_lo[k] * w->m, php = sh_lo[k] * w->m; /* phi, phi' of X */
+        dX[k] = ph - w->M;
+        dW[k] = php * W[k] + (1.0 - coshX[k]) * pmv;
+        dV[k] = ph * W[k] - sinhX[k] * pmv;
+        dU[k] = ((W[k] - U[k]) * php + ph * V[k]) - coshX[k] * pmv;
+        dJ[k] = php * J[k];
+    }
+    dX[0] = dX[n - 1] = 0.0;
+}
+
 /* One classical RK4 step from Z, 5 x n, to out: the four stage derivatives k go into
  * acc = ((k1 + 2 k2) + 2 k3), and out = Z + (acc + k4) dt/6. */
 typedef struct {
@@ -97,6 +118,7 @@ typedef struct {
     double *args; /* 3 x n, the table's arguments */
     double pmv, dt6; /* pmv as rk4_start was given it */
     double h[3]; /* the next stage's input is Z + h[j] k after stage j: dt/2, dt/2, dt */
+    int linear; /* nonzero: the linearized flow, which reads only the X and X - pi table rows */
 } rk4;
 
 static const double PI = 3.141592653589793;
@@ -126,14 +148,19 @@ void rk4_start(const stage *w, rk4 *r, const double *Z, double *out, double pmv)
 }
 
 /* Stage j = 0..3 of the step on the table NumPy filled from its input; then the next
- * stage's input, or after stage 3 the step's result.  Returns the stage's P[0]. */
+ * stage's input, or after stage 3 the step's result.  Returns the stage's P[0] (0 when
+ * linear). */
 double rk4_stage(const stage *w, const rk4 *r, int j)
 {
     const long n5 = 5 * w->n;
     const double *Z = r->Z, *k = r->k, dt6 = r->dt6;
     double *acc = r->acc, *out = r->out;
-    stage_convolutions(w, r->QP);
-    stage_derivative(w, r->QP, r->k, r->pmv);
+    if (r->linear) {
+        linear_derivative(w, r->k, r->pmv);
+    } else {
+        stage_convolutions(w, r->QP);
+        stage_derivative(w, r->QP, r->k, r->pmv);
+    }
     if (j == 3) {
         for (long i = 0; i < n5; i++)
             out[i] = Z[i] + (acc[i] + k[i]) * dt6;
@@ -142,5 +169,5 @@ double rk4_stage(const stage *w, const rk4 *r, int j)
             acc[i] = j == 0 ? k[i] : acc[i] + k[i] * 2.0;
         stage_input(w, r->args, Z, k, r->h[j]);
     }
-    return r->QP[w->n];
+    return r->linear ? 0.0 : r->QP[w->n];
 }

@@ -22,13 +22,15 @@ bit-reproducible results.
 
 The O(n) path runs in ``_stage.c``, a C kernel that the first
 :class:`StageWorkspace` of a process compiles with the C compiler Python was
-built with (a compiler is required for every nonlinear stage) and caches in
-this package's ``__pycache__``.  It is built with ``-ffp-contract=off``, since
-a fused multiply-add would round differently from the NumPy formulas it
-reproduces bit for bit; NumPy still fills its cosh/sinh table.  The kernel runs
-whole RK4 steps (:meth:`StageWorkspace.rk4_step`): one call per stage after the
-table, which adds the stage to the step's sum and writes the next stage's input
-into the workspace.  A lone stage is the first stage of such a step.
+built with (a compiler is required for every RK4 stage, nonlinear or linear)
+and caches in this package's ``__pycache__``.  It is built with
+``-ffp-contract=off``, since a fused multiply-add would round differently from
+the NumPy formulas it reproduces bit for bit; NumPy still fills its cosh/sinh
+table.  The kernel runs
+whole RK4 steps (:meth:`StageWorkspace.rk4_step`, and for the linearized flow
+:meth:`StageWorkspace.linear_step`): one call per stage after the table, which
+adds the stage to the step's sum and writes the next stage's input into the
+workspace.  A lone stage is the first stage of such a step.
 
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
@@ -123,7 +125,8 @@ class _RK4(ctypes.Structure):
     sizes, handed to the kernel once per stage."""
 
     _fields_ = [*((name, _DOUBLES) for name in "Z out QP k acc args".split()),
-                ("pmv", ctypes.c_double), ("dt6", ctypes.c_double), ("h", ctypes.c_double * 3)]
+                ("pmv", ctypes.c_double), ("dt6", ctypes.c_double), ("h", ctypes.c_double * 3),
+                ("linear", ctypes.c_int)]
 
 
 class StageBuildError(RuntimeError):
@@ -192,11 +195,13 @@ def _stage_library():
 
 
 class StageWorkspace:
-    """A nonlinear RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the memory
-    the stage reads (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh``
-    and ``sinh``: 13 n floats) and the compiled kernel ``_stage.c`` that reads only that
-    memory, given its pointers once.  Built by whoever runs the stages (once per run in
-    ``integrate_nonlinear``); the steps of :meth:`rk4_step` and :meth:`first_stage` use it."""
+    """An RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the memory the stage
+    reads (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh`` and
+    ``sinh``: 13 n floats) and the compiled kernel ``_stage.c`` that reads only that memory,
+    given its pointers once.  Built by whoever runs the stages (once per run in
+    ``integrate_nonlinear`` and ``integrate_linear``); the steps of :meth:`rk4_step`,
+    :meth:`linear_step` and :meth:`first_stage` use it, and each holds the memory it reads,
+    so it may outlive the workspace."""
 
     def __init__(self, s):
         self.grid = as_grid(s)
@@ -209,9 +214,10 @@ class StageWorkspace:
         self.args, table, self.rows = np.empty((3, n)), np.empty((2, 3, n)), np.empty((4, n))
         self.cosh, self.sinh = table  # of the args
         (a, b, c), first, last = self.grid.stencil
-        memory = (self.cosh, self.sinh, self.rows, *self.grid.panel, a, b, c)  # all kept by self
+        memory = (self.cosh, self.sinh, self.rows, *self.grid.panel, a, b, c)
         self.stage = ctypes.pointer(_Stage(
             n, *(r.ctypes.data_as(_DOUBLES) for r in memory), *first, *last, 0.5 * m, m, M))
+        self.stage.memory = memory  # what the struct points at lives as long as the struct
 
     def rk4_step(self, pmv: float, dt: float):
         """The classical RK4 step of dt for the nonlinear flow, ``state.rk4(rhs, dt)`` bit for
@@ -225,6 +231,13 @@ class StageWorkspace:
         input (or the result) into ``rows`` and ``args``."""
         return self._stages(pmv, dt, 4)
 
+    def linear_step(self, pmv: float, dt: float):
+        """The classical RK4 step of dt for the linearized flow, ``state.rk4(rhs, dt)`` bit for
+        bit when rhs(t, Z) is ``(linear._linear_rhs(Z, pmv), None)``: the step of
+        :meth:`rk4_step` with the linearized field, which needs no convolutions and only the
+        X and X - pi rows of the table.  ``step(t, Z)`` returns (Z one step later, None)."""
+        return self._stages(pmv, dt, 4, linear=True)
+
     def first_stage(self, Z: np.ndarray, pmv: float):
         """The first stage of a :meth:`rk4_step` step from Z: its derivative dZ, (5, n), and
         its (Q, P), (2, n), in this workspace's memory, which the next first stage overwrites."""
@@ -234,15 +247,17 @@ class StageWorkspace:
         QP, dZ = self._first.memory[:2]
         return dZ, QP
 
-    def _stages(self, pmv: float, dt: float, count: int):
-        """The step of :meth:`rk4_step` cut after its first count stages (4: the whole step), each
-        of which leaves its (Q, P) and its derivative in ``step.memory``'s QP and k."""
+    def _stages(self, pmv: float, dt: float, count: int, linear: bool = False):
+        """The step of :meth:`rk4_step` (of :meth:`linear_step` if linear) cut after its first
+        count stages (4: the whole step), each of which leaves its derivative in
+        ``step.memory``'s k and, unless linear, its (Q, P) in QP."""
         shape = (5,) + self.shape
         memory = np.empty((2,) + self.shape), np.empty(shape), np.empty(shape), self.args
         rk4 = ctypes.pointer(_RK4(None, None, *(a.ctypes.data_as(_DOUBLES) for a in memory),
-                                  0.0, dt / 6.0, (0.5 * dt, 0.5 * dt, dt)))
+                                  0.0, dt / 6.0, (0.5 * dt, 0.5 * dt, dt), linear))
+        rows = slice(2 if linear else 3)  # the table rows the stage reads: X, X - pi (, pi + X)
         start, stage, w, args, cosh, sinh = (self.rk4_start, self.rk4_stage, self.stage,
-                                             self.args, self.cosh, self.sinh)
+                                             self.args[rows], self.cosh[rows], self.sinh[rows])
 
         def step(t, Z, pmv=pmv):
             Z = np.ascontiguousarray(Z, dtype=float)
@@ -255,7 +270,7 @@ class StageWorkspace:
                 np.sinh(args, out=sinh)
                 p = stage(w, rk4, j)
                 if j == 0:
-                    p0 = p  # the extra: P(0) of Z itself
+                    p0 = None if linear else p  # the extra: P(0) of Z itself
             return out, p0
 
         step.memory = memory  # QP, k, acc and args: what rk4 points at

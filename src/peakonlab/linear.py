@@ -30,7 +30,9 @@ while the squared H^1 norm follows C_+ e^t + C_0 + C_- e^-t, with constants
 fixed by the initial energies through the P/S system (see h1_constants).
 
 A fixed-step RK4 integrator for the same characteristic system provides the
-independent cross-check of the closed forms.
+independent cross-check of the closed forms.  It steps with the compiled stage
+kernel (``StageWorkspace.linear_step``, so it needs a C compiler); the NumPy
+field :func:`_linear_rhs` under ``state.rk4`` is that step's bit-for-bit oracle.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convolution import StageWorkspace
 from .energetics import energies
 from .kernel import M, TWO_PI, m, phi_open_interval, phi_prime_open_interval
 from .profiles import InitialCondition
-from .state import CharacteristicState, cosine_grid, initial_state, march, rk4, save_steps
+from .state import CharacteristicState, cosine_grid, initial_state, march, save_steps
 
 E_2PI = math.exp(TWO_PI)
 
@@ -181,9 +184,8 @@ def integrate_linear(ic: InitialCondition, t_end: float, dt: float = 1e-3,
     """
     n_end, saves = save_steps(t_end, dt, save_times)
     start = initial_state(ic, n_chars)
-    pmv = math.pi * m * m * ic.vbar
-    rhs = lambda t, Z: (_linear_rhs(Z, pmv), None)  # autonomous, no side output
-    saved, _, t, outcome = march(rk4(rhs, dt), start.stack(), dt, n_end, saves)
+    step = StageWorkspace(start.s).linear_step(math.pi * m * m * ic.vbar, dt)
+    saved, _, t, outcome = march(step, start.stack(), dt, n_end, saves)
     if outcome == "non-finite":
         raise IntegrationError(f"linear integration left the reals after t={t:g}",
                                last_valid_time=t)

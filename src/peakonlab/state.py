@@ -13,9 +13,10 @@ X[-1] = 2*pi, W[0] = 0, W[-1] = 2*pi*vbar, V[0] = V[-1] (the peak value).
 The linear and nonlinear integrators share the t = 0 state, the fixed-step
 timeline (:func:`save_steps`) and :func:`march`, the one stepping loop; they
 advance the fields stacked as rows (X, W, V, U, J).  march takes one step
-callable, step(t, Z) -> (next Z, extra): the linear run's is :func:`rk4` of
-its NumPy vector field, the nonlinear run's is ``StageWorkspace.rk4_step``,
-one compiled call per stage that gives :func:`rk4`'s bits.
+callable, step(t, Z) -> (next Z, extra): the linear run's is
+``StageWorkspace.linear_step``, the nonlinear run's ``StageWorkspace.rk4_step``,
+each one compiled call per stage that gives the bits of :func:`rk4` over its
+NumPy vector field.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def rk4(rhs, dt: float):
 def march(step, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, record=None):
     """Fixed steps of dt by ``step(t, Z)`` -> (next state, extra), the one stepping loop.
 
-    ``step`` is :func:`rk4` or a step that gives its bits (``StageWorkspace.rk4_step``), so
+    ``step`` is :func:`rk4` or a step that gives its bits (``StageWorkspace.rk4_step`` or
+    ``linear_step``), so
     it writes no state it was given.  Keeps (k*dt, Z) after every step count k in ``saves``
     (0 included), and passes every finite state reached, the last included, to
     ``record(t, Z, extra)`` with the extra of the step taken from it, for the last state of

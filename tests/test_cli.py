@@ -304,8 +304,8 @@ def test_classify_mode(tmp_path, capsys):
     assert code == 1  # beyond the fold: reported, never silent
 
 
-def test_linear_modes_and_classify_never_load_the_stage_kernel(tmp_path, monkeypatch):
-    # so they need no C compiler; a nonlinear run does load it
+def test_linear_exact_and_classify_never_load_the_stage_kernel(tmp_path, monkeypatch):
+    # so they need no C compiler; the integrating modes do load it
     from peakonlab import convolution
 
     class Loaded(Exception):
@@ -316,20 +316,21 @@ def test_linear_modes_and_classify_never_load_the_stage_kernel(tmp_path, monkeyp
 
     monkeypatch.setattr(convolution, "_stage_library", load)
     run = ["--ic", "0.1*sin", "--t", "0,0.1", "--dt", "1e-2", "--nchars", "32"]
-    for mode in ("linear-exact", "linear-ode", "energies"):
-        assert main([mode, *run, "--out", str(tmp_path / mode)]) == 0
+    assert main(["linear-exact", *run, "--out", str(tmp_path / "linear-exact")]) == 0
     assert main(["classify", "--a", "0", "--c", str(M), "--out", str(tmp_path / "cl")]) == 0
-    with pytest.raises(Loaded):
-        main(["nonlinear", *run, "--out", str(tmp_path / "nl")])
+    for mode in ("linear-ode", "energies", "nonlinear"):
+        with pytest.raises(Loaded):
+            main([mode, *run, "--out", str(tmp_path / mode)])
 
 
-def test_a_failed_kernel_build_is_reported_as_an_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("mode", ["nonlinear", "linear-ode", "energies"])
+def test_a_failed_kernel_build_is_reported_as_an_error(tmp_path, monkeypatch, capsys, mode):
     from peakonlab import convolution
 
     monkeypatch.setattr(convolution, "_stage_library",
                         lambda: convolution._load_stage(tmp_path / "cache", ["/nonexistent/cc"]))
-    out = tmp_path / "nl"
-    code = main(["nonlinear", "--ic", "0.1*sin", "--t", "0,0.1", "--dt", "1e-2",
+    out = tmp_path / mode
+    code = main([mode, "--ic", "0.1*sin", "--t", "0,0.1", "--dt", "1e-2",
                  "--nchars", "32", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: building the stage kernel failed: ")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 
-from peakonlab import linear
+from peakonlab import linear, state
+from peakonlab.convolution import StageWorkspace
 from peakonlab.energetics import energies
 from peakonlab.kernel import M, m
 from peakonlab.linear import (IntegrationError, exact_characteristic, exact_state, exact_u,
@@ -225,19 +226,65 @@ def test_save_time_validation():
         integrate_linear(sine(), 1.0, dt=0.25, n_chars=32, save_times=[0.3, 1.0])
 
 
-def test_one_phi_open_interval_per_linear_stage(monkeypatch):
-    # four RK4 stages per step and no stage after the last step: a benchmark
-    # reads the linear step count off these calls
-    calls = []
-    original = linear.phi_open_interval
+def test_one_compiled_call_per_linear_rk4_stage(monkeypatch):
+    # four calls of the compiled stage per step, no stage after the last step and no
+    # _linear_rhs
+    calls, rhs_calls, init, rhs = [], [], StageWorkspace.__init__, linear._linear_rhs
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted_init(self, *args):
+        init(self, *args)
+        stage = self.rk4_stage
+        self.rk4_stage = lambda *a: calls.append(1) or stage(*a)
 
-    monkeypatch.setattr(linear, "phi_open_interval", counted)
+    monkeypatch.setattr(StageWorkspace, "__init__", counted_init)
+    monkeypatch.setattr(linear, "_linear_rhs", lambda *a: rhs_calls.append(1) or rhs(*a))
     integrate_linear(sine(), 0.05, dt=1e-2, n_chars=32, save_times=[0.0, 0.02, 0.05])
-    assert len(calls) == 4 * 5
+    assert len(calls) == 4 * 5 and not rhs_calls
+
+
+def test_compiled_linear_step_matches_the_numpy_rk4_step_bitwise():
+    # warped states at n = 16 to 4096, and one whose slope U ~ 1e308 overflows the step
+    big = exact_state(1.3, MIXED, 257)
+    overflowing = big.stack()
+    overflowing[3] *= 1e308 / np.max(np.abs(overflowing[3]))
+    cases = [(st.s, st.stack(), st.vbar) for st in
+             (exact_state(t, MIXED, n) for t, n in ((1.9, 16), (0.7, 129), (1.3, 512),
+                                                   (2.5, 1024), (1.3, 4096)))]
+    cases.append((big.s, overflowing, big.vbar))
+    for s, Z, vbar in cases:
+        ws, pmv = StageWorkspace(s), math.pi * m * m * vbar
+        rhs = lambda t, Z: (linear._linear_rhs(Z, pmv), None)
+        for dt in (1e-2, 5e-4):
+            kept = Z.copy()
+            with np.errstate(all="ignore"):
+                got, extra = ws.linear_step(pmv, dt)(0.0, Z)
+                want, _ = state.rk4(rhs, dt)(0.0, Z)
+            assert np.array_equal(got, want, equal_nan=True) and extra is None
+            assert np.array_equal(Z, kept)
+    assert not np.isfinite(got).all()  # the overflow case
+    with pytest.raises(ValueError):
+        ws.linear_step(pmv, dt)(0.0, Z[:4])
+
+
+def test_integrate_linear_matches_a_march_over_the_numpy_step(monkeypatch):
+    # a completed run and one that leaves the reals, each against the same run whose march
+    # steps by state.rk4 over _linear_rhs
+    def runs():
+        completed = integrate_linear(MIXED, 0.05, dt=1e-2, n_chars=64,
+                                     save_times=[0.0, 0.02, 0.05])
+        with pytest.raises(IntegrationError) as exc:
+            integrate_linear(cosine(), 800.0, dt=0.5, n_chars=16)
+        return completed, exc.value
+
+    compiled, compiled_error = runs()
+    monkeypatch.setattr(StageWorkspace, "linear_step", lambda ws, pmv, dt: state.rk4(
+        lambda t, Z: (linear._linear_rhs(Z, pmv), None), dt))
+    numpy_run, numpy_error = runs()
+    assert len(compiled.states) == len(numpy_run.states) == 3
+    for a, b in zip(compiled.states, numpy_run.states):
+        assert a.t == b.t and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "XVWUJ")
+    assert str(compiled_error) == str(numpy_error)
+    assert compiled_error.last_valid_time == numpy_error.last_valid_time == 708.0
 
 
 def test_non_finite_state_raises_integration_error():

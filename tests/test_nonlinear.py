@@ -368,6 +368,22 @@ def test_stages_on_alternating_workspaces_match_fresh_ones_bitwise():
                            node_convolutions(kept[len(st.s)], st.X, st.V, st.U, st.J)))
 
 
+def test_the_step_of_a_dropped_workspace_matches_a_kept_ones_bitwise():
+    # a step keeps alive all the memory its compiled calls read, so freeing its workspace
+    # and handing that memory to new arrays leaves its results alone
+    st = linear.exact_state(1.9, InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,)),
+                            16)
+    Z, pmv, n = st.stack(), math.pi * m * m * st.vbar, len(st.s)
+    kept = StageWorkspace(st.s)
+    for make in ("rk4_step", "linear_step"):
+        want = getattr(kept, make)(pmv, 1e-3)(0.0, Z)
+        step = getattr(StageWorkspace(st.s), make)(pmv, 1e-3)
+        gc.collect()
+        churn = [np.full(k * n - j, 7.0) for k in (1, 3, 4) for j in (0, 1, 2) for _ in range(4)]
+        got = step(0.0, Z)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1] and churn
+
+
 def test_max_abs_slope_is_the_largest_slope_of_every_state():
     # one completed and one stopped run, saved at every step
     dt = 1e-2
