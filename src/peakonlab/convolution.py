@@ -136,12 +136,13 @@ class StageBuildError(RuntimeError):
 _STAGE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")  # no fused multiply-add
 
 
-def _load_stage(cache_dir, cc):
-    """``_stage.c`` as a loaded library, compiled first with the compiler command cc (a list)
-    into cache_dir unless a build of the same source and flags is there already.  The build
-    goes to a temporary file that is then renamed, so a concurrent load never sees half of
-    it, and then the other ``_stage-*.so`` builds there are deleted; a failed build raises
-    :class:`StageBuildError` with the command and the compiler's stderr."""
+def _load_stage(cache_dir, cc=None):
+    """``_stage.c`` as a loaded library, compiled first with the compiler command cc (a list;
+    by default the C compiler Python was built with) into cache_dir unless a build of the
+    same source and flags is there already.  The build goes to a temporary file that is then
+    renamed, so a concurrent load never sees half of it, and then the other ``_stage-*.so``
+    builds there are deleted; a failed build raises :class:`StageBuildError` with the
+    command and the compiler's stderr."""
     try:  # CPython's own SHA-256: hashlib would map OpenSSL, 3.7 MB more peak RSS
         from _sha2 import sha256  # Python 3.12 and later
     except ImportError:
@@ -152,9 +153,13 @@ def _load_stage(cache_dir, cc):
     path = Path(cache_dir) / f"_stage-{key[:16]}.so"
     if not path.exists():
         import contextlib
+        import shlex
         import subprocess
+        import sysconfig
         import tempfile
 
+        if cc is None:  # looked up only for a build: sysconfig adds 0.2 MB of peak RSS
+            cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
         os.close(fd)
@@ -187,11 +192,7 @@ def _load_stage(cache_dir, cc):
 def _stage_library():
     """The stage kernel, built with the C compiler Python was built with and cached in this
     package's ``__pycache__``; loaded once per process, by the first :class:`StageWorkspace`."""
-    import shlex
-    import sysconfig
-
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    return _load_stage(Path(__file__).with_name("__pycache__"), cc)
+    return _load_stage(Path(__file__).with_name("__pycache__"))
 
 
 class StageWorkspace:
