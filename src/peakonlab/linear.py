@@ -180,7 +180,9 @@ def integrate_linear(ic: InitialCondition, t_end: float, dt: float = 1e-3,
     recorded at the requested save times (t_end by default), which must be
     whole numbers of steps.  The peak value V[0] and the mean W[-1]/(2*pi)
     are conserved by the flow; the integrator preserves both to rounding
-    because the endpoints are fixed points of the discrete stages.
+    because the endpoints are fixed points of the discrete stages.  Each step
+    is ``StageWorkspace.linear_step`` on one workspace per run, one compiled
+    call per stage, which gives the bits of ``state.rk4`` over :func:`_linear_rhs`.
     """
     n_end, saves = save_steps(t_end, dt, save_times)
     start = initial_state(ic, n_chars)

@@ -160,11 +160,10 @@ def march(step, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, rec
     """Fixed steps of dt by ``step(t, Z)`` -> (next state, extra), the one stepping loop.
 
     ``step`` is :func:`rk4` or a step that gives its bits (``StageWorkspace.rk4_step`` or
-    ``linear_step``), so
-    it writes no state it was given.  Keeps (k*dt, Z) after every step count k in ``saves``
-    (0 included), and passes every finite state reached, the last included, to
-    ``record(t, Z, extra)`` with the extra of the step taken from it, for the last state of
-    one more step.  Ends after ``n_steps`` ("completed"), after a step whose state
+    ``linear_step``), so it writes no state it was given.  Keeps (k*dt, Z) after every step
+    count k in ``saves`` (0 included), and passes every finite state reached, the last
+    included, to ``record(t, Z, extra)`` with the extra of the step taken from it, for the
+    last state of one more step.  Ends after ``n_steps`` ("completed"), after a step whose state
     satisfies ``stop(Z)`` ("stopped"), or at a step that leaves the reals ("non-finite";
     that state is dropped).  Returns (saved pairs, last finite Z, its t, outcome).
     """
