@@ -26,11 +26,11 @@ built with (a compiler is required for every RK4 stage, nonlinear or linear)
 and caches in this package's ``__pycache__``.  It is built with
 ``-ffp-contract=off``, since a fused multiply-add would round differently from
 the NumPy formulas it reproduces bit for bit; NumPy still fills its cosh/sinh
-table.  The kernel runs
-whole RK4 steps (:meth:`StageWorkspace.rk4_step`, and for the linearized flow
-:meth:`StageWorkspace.linear_step`): one call per stage after the table, which
-adds the stage to the step's sum and writes the next stage's input into the
-workspace.  A lone stage is the first stage of such a step.
+table.  The kernel runs whole RK4 steps (:meth:`StageWorkspace.rk4_step`, and
+for the linearized flow :meth:`StageWorkspace.linear_step`): one call per stage
+after the table, which adds the stage to the step's sum and writes the next
+stage's input into the workspace.  A lone stage is the first stage of such a
+step.
 
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
