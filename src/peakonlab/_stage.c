@@ -1,5 +1,6 @@
 /* One RK4 stage of peakonlab on n characteristic nodes, and the RK4 step around it: a
- * nonlinear stage as two loops, a linearized one (no convolutions) as one.
+ * nonlinear stage as two loops, a linearized one (no convolutions) as one.  Also the text
+ * of a state CSV (state_csv), which every trajectory mode writes.
  *
  * Every float operation is the one, and in the order, of the NumPy formulas the
  * tests keep as the oracle (tests/test_nonlinear.py::_reference_stage for a nonlinear
@@ -10,6 +11,10 @@
  * X - pi rows for a linear stage; its SIMD cosh and sinh do not round as libm does);
  * a step also reads the state it starts from and writes the one it ends at.
  */
+
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 typedef struct {
     long n;
@@ -170,4 +175,154 @@ double rk4_stage(const stage *w, const rk4 *r, int j)
         stage_input(w, r->args, Z, k, r->h[j]);
     }
     return r->linear ? 0.0 : r->QP[w->n];
+}
+
+__extension__ typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u, 9765625u, 48828125u,
+    244140625u, 1220703125u, 6103515625u, 30517578125u, 152587890625u, 762939453125u,
+    3814697265625u, 19073486328125u, 95367431640625u, 476837158203125u, 2384185791015625u,
+    11920928955078125u, 59604644775390625u, 298023223876953125u, 1490116119384765625u,
+    7450580596923828125u};
+static const uint64_t E16 = 10000000000000000u, E17 = 100000000000000000u;
+
+/* floor(m 2^e 10^p) into *t and the same rounded half to even into *r, for m < 2^53 and
+ * p <= 32, where m 5^p < 2^128 is exact; the callers keep the shift below 128. */
+static void scaled(uint64_t m, int e, int p, uint64_t *t, uint64_t *r)
+{
+    u128 x = (u128)m * POW5[p < 27 ? p : 27];
+    if (p > 27)
+        x *= POW5[p - 27];
+    int shift = e + p;
+    if (shift >= 0) {
+        *t = *r = (uint64_t)(x << shift);
+        return;
+    }
+    u128 rest = x & (((u128)1 << -shift) - 1), half = (u128)1 << (-shift - 1);
+    *t = (uint64_t)(x >> -shift);
+    *r = *t + (rest > half || (rest == half && (*t & 1)));
+}
+
+/* The 17 significant digits of a finite |x| > 0 into d, and its decimal exponent k, so
+ * that |x| rounds to d[0].d[1]...d[16] 10^k.  Exact integer arithmetic for
+ * 1e-16 <= |x| < 1e17; glibc's correctly rounded "%.16e" elsewhere (and subnormals),
+ * read past its decimal point, which LC_NUMERIC may change. */
+static int digits17(double x, char *d)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    int b = (int)(u >> 52 & 0x7ff) - 1023; /* 2^b <= |x| < 2^(b + 1) when normal */
+    int k = b >= 0 ? (b * 78913) >> 18 : -((-b * 78913) >> 18) - 1; /* floor(b log10 2) */
+    if (b > -1023 && k >= -17 && k <= 16) {
+        uint64_t m = (u & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52, t, r;
+        if (k < -16)
+            k = -16; /* |x| is below 1e-16 unless it has 17 digits at k = -16 */
+        scaled(m, b - 52, 16 - k, &t, &r);
+        if (t >= E17 && k < 16)
+            scaled(m, b - 52, 16 - ++k, &t, &r); /* the exponent is floor(b log10 2) + 1 */
+        if (t >= E16 && t < E17) {
+            if (r == E17)
+                r = E16, k++; /* rounding carried into the next decade */
+            for (int i = 16; i >= 0; i--, r /= 10)
+                d[i] = (char)('0' + r % 10);
+            return k;
+        }
+    }
+    char e[40];
+    snprintf(e, sizeof e, "%.16e", x < 0 ? -x : x);
+    const char *c = e + 1;
+    d[0] = e[0];
+    while (*c < '0' || *c > '9')
+        c++; /* the decimal point */
+    memcpy(d + 1, c, 16);
+    c += 17; /* past 'e' */
+    int sign = *c++ == '-' ? -1 : 1;
+    for (k = 0; *c; c++)
+        k = 10 * k + (*c - '0');
+    return sign * k;
+}
+
+/* Python's '%.17g' % x into out, at most 24 bytes and no NUL; returns the end. */
+static char *g17(char *out, double x)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    if (x != x) {
+        memcpy(out, "nan", 3); /* whatever its sign */
+        return out + 3;
+    }
+    if (u >> 63)
+        *out++ = '-';
+    if (x == 0) {
+        *out = '0';
+        return out + 1;
+    }
+    if ((u >> 52 & 0x7ff) == 0x7ff) {
+        memcpy(out, "inf", 3);
+        return out + 3;
+    }
+    char d[17];
+    int k = digits17(x, d), last = 16;
+    while (last > 0 && d[last] == '0')
+        last--; /* trailing zeros go */
+    if (k < -4 || k >= 17) {
+        *out++ = d[0];
+        if (last > 0) {
+            *out++ = '.';
+            memcpy(out, d + 1, last);
+            out += last;
+        }
+        *out++ = 'e';
+        *out++ = k < 0 ? '-' : '+';
+        k = k < 0 ? -k : k;
+        if (k >= 100)
+            *out++ = (char)('0' + k / 100);
+        *out++ = (char)('0' + k / 10 % 10);
+        *out++ = (char)('0' + k % 10);
+    } else if (k < 0) {
+        *out++ = '0';
+        *out++ = '.';
+        for (int i = -1; i > k; i--)
+            *out++ = '0';
+        memcpy(out, d, last + 1);
+        out += last + 1;
+    } else {
+        memcpy(out, d, k + 1);
+        out += k + 1;
+        if (last > k) {
+            *out++ = '.';
+            memcpy(out, d + k + 1, last - k);
+            out += last - k;
+        }
+    }
+    return out;
+}
+
+/* The rows of a state CSV from cols = (s, X, V, U, W), 5 x n: s + shift, X + shift, V, U, W
+ * for every node, then s + 0.0, X + 0.0, V, U, W, each number as Python's '%.17g', ','
+ * between and '\n' after.  buf takes at most 2 n (5 24 + 5) bytes; returns the count
+ * written.  V, U and W are formatted once and copied into the second block. */
+long state_csv(const double *cols, long n, double shift, char *buf)
+{
+    const double *s = cols, *X = cols + n, *V = cols + 2 * n, *U = cols + 3 * n, *W = cols + 4 * n;
+    char *p = buf;
+    for (long i = 0; i < n; i++) {
+        p = g17(p, s[i] + shift), *p++ = ',';
+        p = g17(p, X[i] + shift), *p++ = ',';
+        p = g17(p, V[i]), *p++ = ',';
+        p = g17(p, U[i]), *p++ = ',';
+        p = g17(p, W[i]), *p++ = '\n';
+    }
+    const char *row = buf; /* the first block's row i */
+    for (long i = 0; i < n; i++) {
+        p = g17(p, s[i] + 0.0), *p++ = ',';
+        p = g17(p, X[i] + 0.0), *p++ = ',';
+        const char *x_cell = (const char *)memchr(row, ',', p - row) + 1;
+        const char *vuw = (const char *)memchr(x_cell, ',', p - x_cell) + 1;
+        row = (const char *)memchr(vuw, '\n', p - vuw) + 1;
+        memcpy(p, vuw, row - vuw);
+        p += row - vuw;
+    }
+    return p - buf;
 }

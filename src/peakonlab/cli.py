@@ -35,7 +35,6 @@ import math
 import re
 import sys
 from dataclasses import astuple, dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -189,16 +188,7 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-@functools.lru_cache(maxsize=1)
-def _s_cells(s_bytes: bytes) -> tuple:
-    """The "%.17g," cells of s - 2*pi and of s + 0.0 for the float64 grid s_bytes.
-
-    The states of a run share one grid, so the last grid's cells are kept.  The
-    key is the exact bytes, so -0.0 and 0.0, NaN payloads and a grid changed in
-    place each get their own cells.
-    """
-    s = np.frombuffer(s_bytes)
-    return tuple(tuple("%.17g," % x for x in (s + shift).tolist()) for shift in (-TWO_PI, 0.0))
+_CSV_ROW_BYTES = 5 * 24 + 5  # "%.17g" takes at most 24 bytes, as in -1.2345678901234567e-308
 
 
 def write_state_csv(path: Path, state) -> None:
@@ -206,20 +196,20 @@ def write_state_csv(path: Path, state) -> None:
 
     The block shifted by -2*pi comes first, then the fundamental block, so
     the X column sweeps [-2*pi, 2*pi] for direct plotting.  The + 0.0 of the
-    fundamental block prints a -0.0 position as 0.  V, U and W are the same
-    in both blocks, so they are formatted once and shared, and the s cells
-    come from the grid's cache.  Each block goes to the file once formatted;
-    the file holds the bytes np.savetxt(fmt="%.17g", delimiter=",") writes.
+    fundamental block prints a -0.0 position as 0.  The stage kernel formats
+    both blocks in one call (``state_csv`` in ``_stage.c``), each number as
+    Python's "%.17g"; the file holds the bytes
+    np.savetxt(fmt="%.17g", delimiter=",") writes.
     """
-    n = len(state.s)  # "%.17g" never prints a line break
-    vuw = ("%.17g,%.17g,%.17g\n" * n % tuple(
-        np.column_stack((state.V, state.U, state.W)).ravel().tolist())).splitlines(keepends=True)
-    s_cells = _s_cells(np.ascontiguousarray(state.s, dtype=float).tobytes())
-    with open(path, "w", newline="\n") as fh:
-        fh.write("s,X,V,U,W\n")
-        for cells, shift in zip(s_cells, (-TWO_PI, 0.0)):
-            fh.write(("%s%.17g,%s" * n) % tuple(
-                chain.from_iterable(zip(cells, (state.X + shift).tolist(), vuw))))
+    cols = np.stack((state.s, state.X, state.V, state.U, state.W), dtype=float)  # unequal: raises
+    if cols.ndim != 2:
+        raise ValueError(f"state columns must be 1-d, got shape {cols.shape[1:]}")
+    n = cols.shape[1]
+    buf = np.empty(2 * n * _CSV_ROW_BYTES, dtype=np.uint8)
+    size = convolution._stage_library().state_csv(cols.ctypes.data, n, -TWO_PI, buf.ctypes.data)
+    with open(path, "wb") as fh:
+        fh.write(b"s,X,V,U,W\n")
+        fh.write(buf[:size])
 
 
 def read_state_csv(path):
@@ -370,6 +360,7 @@ def run_scenario(config: ScenarioConfig) -> int:
                 rel = abs(report.E_v - pred) / abs(pred) if pred else 0.0
                 lines += [f"t{i}_E_pred={_fmt(pred)}", f"t{i}_E_rel_err={_fmt(rel)}"]
 
+    convolution._stage_library()  # the CSV writer's: a failed build leaves nothing either
     out = _output_dir(config.out_dir, csv_names)  # only now: a failed run leaves nothing
     for name, state in zip(csv_names, states()):
         write_state_csv(out / name, state)

@@ -21,8 +21,9 @@ integrands are integrated piecewise.  Panel sums run left to right for
 bit-reproducible results.
 
 The O(n) path runs in ``_stage.c``, a C kernel that the first
-:class:`StageWorkspace` of a process compiles with the C compiler Python was
-built with (a compiler is required for every RK4 stage, nonlinear or linear)
+:class:`StageWorkspace` or state CSV of a process compiles with the C compiler
+Python was built with (a compiler is required for every RK4 stage, nonlinear
+or linear, and for ``cli.write_state_csv``, whose text ``state_csv`` formats)
 and caches in this package's ``__pycache__``.  It is built with
 ``-ffp-contract=off``, since a fused multiply-add would round differently from
 the NumPy formulas it reproduces bit for bit; NumPy still fills its cosh/sinh
@@ -185,13 +186,16 @@ def _load_stage(cache_dir, cc=None):
     lib.rk4_stage.argtypes = (stage, ctypes.POINTER(_RK4), ctypes.c_int)
     lib.rk4_start.restype = None
     lib.rk4_stage.restype = ctypes.c_double
+    lib.state_csv.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_void_p)
+    lib.state_csv.restype = ctypes.c_long
     return lib
 
 
 @functools.cache
 def _stage_library():
     """The stage kernel, built with the C compiler Python was built with and cached in this
-    package's ``__pycache__``; loaded once per process, by the first :class:`StageWorkspace`."""
+    package's ``__pycache__``; loaded once per process, by the first :class:`StageWorkspace`
+    or state CSV."""
     return _load_stage(Path(__file__).with_name("__pycache__"))
 
 

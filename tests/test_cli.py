@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -304,8 +305,8 @@ def test_classify_mode(tmp_path, capsys):
     assert code == 1  # beyond the fold: reported, never silent
 
 
-def test_linear_exact_and_classify_never_load_the_stage_kernel(tmp_path, monkeypatch):
-    # so they need no C compiler; the integrating modes do load it
+def test_classify_never_loads_the_stage_kernel(tmp_path, monkeypatch):
+    # so it needs no C compiler; every trajectory mode loads it, if only to write its CSVs
     from peakonlab import convolution
 
     class Loaded(Exception):
@@ -316,14 +317,14 @@ def test_linear_exact_and_classify_never_load_the_stage_kernel(tmp_path, monkeyp
 
     monkeypatch.setattr(convolution, "_stage_library", load)
     run = ["--ic", "0.1*sin", "--t", "0,0.1", "--dt", "1e-2", "--nchars", "32"]
-    assert main(["linear-exact", *run, "--out", str(tmp_path / "linear-exact")]) == 0
     assert main(["classify", "--a", "0", "--c", str(M), "--out", str(tmp_path / "cl")]) == 0
-    for mode in ("linear-ode", "energies", "nonlinear"):
+    for mode in ("linear-exact", "linear-ode", "energies", "nonlinear"):
         with pytest.raises(Loaded):
             main([mode, *run, "--out", str(tmp_path / mode)])
+        assert not (tmp_path / mode).exists()
 
 
-@pytest.mark.parametrize("mode", ["nonlinear", "linear-ode", "energies"])
+@pytest.mark.parametrize("mode", ["nonlinear", "linear-ode", "energies", "linear-exact"])
 def test_a_failed_kernel_build_is_reported_as_an_error(tmp_path, monkeypatch, capsys, mode):
     from peakonlab import convolution
 
@@ -472,7 +473,7 @@ def _state_of(columns) -> CharacteristicState:
     s, X, V, U, W = (np.array(c, dtype=float) for c in columns)
     for c in (s, X):  # s and X take + shift, which warns on a signaling NaN
         c[np.isnan(c)] = math.nan
-    return CharacteristicState(t=0.0, s=s, X=X, V=V, U=U, W=W, J=np.ones(len(s)), vbar=0.0)
+    return CharacteristicState(t=0.0, s=s, X=X, V=V, U=U, W=W, J=np.ones(33), vbar=0.0)
 
 
 _SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
@@ -506,17 +507,16 @@ def test_write_state_csv_matches_savetxt_n4096(tmp_path):
 def _grid_state(s) -> CharacteristicState:
     rng = np.random.default_rng(len(s))
     X, V, U, W = rng.standard_normal((4, len(s)))
-    return CharacteristicState(t=0.0, s=s, X=X, V=V, U=U, W=W, J=np.ones(len(s)), vbar=0.0)
+    return CharacteristicState(t=0.0, s=s, X=X, V=V, U=U, W=W, J=np.ones(33), vbar=0.0)
 
 
-def test_write_state_csv_s_cache_follows_the_grid(tmp_path):
-    # the cached s cells must never leak from one grid into another's file
+def test_write_state_csv_follows_the_grid(tmp_path):
+    # no grid's s cells may leak into another's file
     path = tmp_path / "state.csv"
 
     def write_and_check(st):
         cli.write_state_csv(path, st)
         assert path.read_bytes() == _savetxt_bytes(st)
-        assert cli._s_cells.cache_info().currsize <= 1
 
     a = np.sort(np.random.default_rng(3).uniform(0.0, TWO_PI, 4096))
     a_ulp = a.copy()
@@ -531,6 +531,82 @@ def test_write_state_csv_s_cache_follows_the_grid(tmp_path):
     special[[0, 5]] = -0.0, math.nan
     write_and_check(_grid_state(special))
     write_and_check(_grid_state(special.copy()))
+
+
+def _dyadic_ties(rng) -> list:
+    """Doubles N / 2**j (N odd) of exactly 18 significant digits: each lies half-way
+    between two 17-digit decimals."""
+    ties = []
+    for j in range(3, 26):
+        lo, hi = math.ceil(10.0 ** (17 - j) * 2 ** j), min(2 ** 53, int(10.0 ** (18 - j) * 2 ** j))
+        for N in rng.integers(lo, hi, 20).tolist() if lo < hi else ():
+            x = (N | 1) / 2 ** j
+            if len(Decimal(x).as_tuple().digits) == 18:
+                ties.append(x)
+    return ties
+
+
+def test_write_state_csv_formats_every_double_as_python(tmp_path):
+    # the compiled "%.17g" against Python's on random bit patterns and every edge of its
+    # exact path (1e-16 <= |x| < 1e17) and of glibc's beyond it
+    rng = np.random.default_rng(31)
+    nan_bits = [0x7FF8000000000001, 0xFFF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF]
+    powers = np.array([float(f"1e{k}") for k in range(-20, 21)])
+    edges = np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, 1e-14],  # below 10^-14, but its 17 digits carry to 1e-14
+        np.array(nan_bits, dtype=np.uint64).view(np.float64),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), _dyadic_ties(rng)])
+    edges = np.concatenate([edges, -edges])
+    assert Decimal(1e-14) < Decimal("1e-14") and "%.17g" % 1e-14 == "1e-14"
+    n = 40_000
+    bits = rng.integers(0, 2 ** 64, (5, n), dtype=np.uint64).view(np.float64)
+    bits[:, :len(edges)] = edges
+    st = _state_of(bits)
+    path = tmp_path / "state.csv"
+    cli.write_state_csv(path, st)
+    rows = np.concatenate([np.column_stack((st.s + shift, st.X + shift, st.V, st.U, st.W))
+                           for shift in (-TWO_PI, 0.0)])
+    expected = "s,X,V,U,W\n" + "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(
+        rows.ravel().tolist())
+    assert path.read_bytes() == expected.encode()
+
+
+def test_write_state_csv_inputs_are_checked_before_the_foreign_call(tmp_path, monkeypatch):
+    from peakonlab import convolution
+
+    rng = np.random.default_rng(5)
+    s, X, V, U, W = rng.standard_normal((5, 33))
+    path = tmp_path / "state.csv"
+
+    def state(s=s, X=X, V=V, U=U, W=W):
+        return CharacteristicState(t=0.0, s=s, X=X, V=V, U=U, W=W, J=np.ones(33), vbar=0.0)
+
+    cli.write_state_csv(path, state())
+    want = path.read_bytes()
+    # columns of another length raise, and the kernel never reads past the end of one
+    with monkeypatch.context() as patch:
+        patch.setattr(convolution, "_stage_library", lambda: pytest.fail("foreign call"))
+        for bad in (V[:-1], np.append(V, 0.0), np.stack([V, V]), 0.5):
+            with pytest.raises(ValueError):
+                cli.write_state_csv(path, state(V=bad))
+            with pytest.raises(ValueError):
+                cli.write_state_csv(path, state(s=bad))
+        with pytest.raises(ValueError):  # equal, but not 1-d
+            cli.write_state_csv(path, state(*(np.stack([c, c]) for c in (s, X, V, U, W))))
+    # other layouts and dtypes are converted: the bytes of their float64 copies
+    strided, fortran = np.repeat(V, 2)[::2], np.asfortranarray(np.stack([W, W]))[0]
+    assert not strided.flags.c_contiguous and not fortran.flags.c_contiguous
+    cli.write_state_csv(path, state(V=strided, W=fortran))
+    assert path.read_bytes() == want
+    for cast in (np.float32, np.int64):
+        cols = [c.astype(cast) for c in (s, X, V, U, W)]
+        cli.write_state_csv(path, state(*cols))
+        cli.write_state_csv(tmp_path / "copy.csv", state(*(c.astype(float) for c in cols)))
+        assert path.read_bytes() == (tmp_path / "copy.csv").read_bytes()
+    empty = np.array([])
+    cli.write_state_csv(path, state(empty, empty, empty, empty, empty))
+    assert path.read_bytes() == b"s,X,V,U,W\n"
 
 
 @pytest.mark.parametrize("mode", ["linear-exact", "linear-ode", "nonlinear"])
@@ -557,7 +633,6 @@ def _linear_exact_traced_peak(out_dir, n_samples):
     config = ScenarioConfig(mode="linear-exact", ic_spec="sin+0.5*cos3",
                             t_samples=tuple(0.1 * i for i in range(n_samples)),
                             n_chars=1024, out_dir=str(out_dir))
-    cli._s_cells.cache_clear()
     tracemalloc.start()
     try:
         assert run_scenario(config) == 0
