@@ -1,6 +1,7 @@
 /* One RK4 stage of peakonlab on n characteristic nodes, and the RK4 step around it: a
- * nonlinear stage as two loops, a linearized one (no convolutions) as one.  Also the text
- * of a state CSV (state_csv), which every trajectory mode writes.
+ * nonlinear stage as its convolutions and one derivative loop, a linearized one (no
+ * convolutions) as that loop without the nonlinear terms.  Also the text of a state CSV
+ * (state_csv), which every trajectory mode writes.
  *
  * Every float operation is the one, and in the order, of the NumPy formulas the
  * tests keep as the oracle (tests/test_nonlinear.py::_reference_stage for a nonlinear
@@ -16,14 +17,23 @@
 #include <stdio.h>
 #include <string.h>
 
+/* A workspace: what stays fixed for its n nodes, its scratch, and the step that
+ * rk4_start set.  Only rk4_start and rk4_stage write through its pointers. */
 typedef struct {
     long n;
     const double *cosh, *sinh; /* 3 x n each, of the args X, X - pi, pi + X */
-    double *rows; /* W, V, U, J, n each; only rk4_start and rk4_stage write them */
+    double *rows; /* W, V, U, J, n each */
     const double *half, *dx2_12; /* panel weights of f and f', n - 1 each */
     const double *a, *b, *c; /* f[k-1], f[k], f[k+1] weights of f'[k], n - 2 each */
+    double *QP, *k, *acc; /* a stage's (Q, P), 2 x n, and derivative and the step's sum, 5 x n */
+    double *args; /* 3 x n, the table's arguments */
     double a0, b0, c0, a1, b1, c1; /* one-sided weights at the first and the last node */
     double half_m, m, M;
+    const double *Z; /* the step from Z, 5 x n, to out */
+    double *out;
+    double pmv, dt6; /* pmv as rk4_start was given it */
+    double h[3]; /* the next stage's input is Z + h[j] k after stage j: dt/2, dt/2, dt */
+    int linear; /* nonzero: the linearized flow, which reads only the X and X - pi table rows */
 } stage;
 
 static double density(const double *V, const double *U, const double *J, long k)
@@ -73,68 +83,49 @@ static void stage_convolutions(const stage *w, double *restrict QP)
     }
 }
 
-/* dZ = (dX, dW, dV, dU, dJ), 5 x n, of Z = (X, W, V, U, J) given QP = (Q, P). */
-static void stage_derivative(const stage *w, const double *QP, double *restrict dZ, double pmv)
+/* dZ = (dX, dW, dV, dU, dJ), 5 x n, of the stage input (X, W, V, U, J).  The linearized
+ * field (linear._linear_rhs) is the leading terms of the nonlinear one, which adds those
+ * of QP = (Q, P).  linear is a constant at each call, so each flow compiles to its own loop
+ * without a test in it.  Its phi = m cosh(pi - X) is m cosh(X - pi) bit for bit: pi - X
+ * rounds to -(X - pi) and NumPy's cosh is even.  dZ here and QP in stage_convolutions are
+ * restrict parameters, not read from w, so that GCC vectorizes their loops. */
+static inline __attribute__((always_inline)) void stage_derivative(const stage *w,
+                                                                    double *restrict dZ, int linear)
 {
     const long n = w->n;
     const double *W = w->rows, *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
-    const double *Q = QP, *P = QP + n;
+    const double *Q = w->QP, *P = w->QP + n, pmv = w->pmv;
     const double *coshX = w->cosh, *sinhX = w->sinh, *ch_lo = w->cosh + n, *sh_lo = w->sinh + n;
     double *dX = dZ, *dW = dZ + n, *dV = dZ + 2 * n, *dU = dZ + 3 * n, *dJ = dZ + 4 * n;
-    const double v0 = V[0], p0 = P[0], v0v0 = v0 * v0;
+    const double v0 = V[0], p0 = linear ? 0.0 : P[0], v0v0 = v0 * v0;
     for (long k = 0; k < n; k++) {
         double ph = ch_lo[k] * w->m, php = sh_lo[k] * w->m; /* phi, phi' of X */
-        double vv = V[k] * V[k], half_uu = U[k] * 0.5 * U[k];
-        dX[k] = ph - w->M + V[k] - v0;
-        dW[k] = php * W[k] + (1.0 - coshX[k]) * pmv + (vv - v0v0) * 0.5 - P[k] + p0;
-        dV[k] = ph * W[k] - sinhX[k] * pmv - Q[k];
-        dU[k] = (W[k] - U[k]) * php + ph * V[k] - coshX[k] * pmv - half_uu + vv - P[k];
-        dJ[k] = (php + U[k]) * J[k];
+        double x = ph - w->M, dw = php * W[k] + (1.0 - coshX[k]) * pmv;
+        double dv = ph * W[k] - sinhX[k] * pmv;
+        double du = (W[k] - U[k]) * php + ph * V[k] - coshX[k] * pmv;
+        if (linear) {
+            dX[k] = x, dW[k] = dw, dV[k] = dv, dU[k] = du, dJ[k] = php * J[k];
+        } else {
+            double vv = V[k] * V[k];
+            dX[k] = x + V[k] - v0;
+            dW[k] = dw + (vv - v0v0) * 0.5 - P[k] + p0;
+            dV[k] = dv - Q[k];
+            dU[k] = du - U[k] * 0.5 * U[k] + vv - P[k];
+            dJ[k] = (php + U[k]) * J[k];
+        }
     }
     dX[0] = dX[n - 1] = 0.0; /* the peak characteristics are exact fixed points */
 }
-
-/* dZ of the linearized flow, linear._linear_rhs's formulas in its order.  Its
- * phi = m cosh(pi - X) is m cosh(X - pi) bit for bit: pi - X rounds to -(X - pi) and
- * NumPy's cosh is even. */
-static void linear_derivative(const stage *w, double *restrict dZ, double pmv)
-{
-    const long n = w->n;
-    const double *W = w->rows, *V = w->rows + n, *U = w->rows + 2 * n, *J = w->rows + 3 * n;
-    const double *coshX = w->cosh, *sinhX = w->sinh, *ch_lo = w->cosh + n, *sh_lo = w->sinh + n;
-    double *dX = dZ, *dW = dZ + n, *dV = dZ + 2 * n, *dU = dZ + 3 * n, *dJ = dZ + 4 * n;
-    for (long k = 0; k < n; k++) {
-        double ph = ch_lo[k] * w->m, php = sh_lo[k] * w->m; /* phi, phi' of X */
-        dX[k] = ph - w->M;
-        dW[k] = php * W[k] + (1.0 - coshX[k]) * pmv;
-        dV[k] = ph * W[k] - sinhX[k] * pmv;
-        dU[k] = ((W[k] - U[k]) * php + ph * V[k]) - coshX[k] * pmv;
-        dJ[k] = php * J[k];
-    }
-    dX[0] = dX[n - 1] = 0.0;
-}
-
-/* One classical RK4 step from Z, 5 x n, to out: the four stage derivatives k go into
- * acc = ((k1 + 2 k2) + 2 k3), and out = Z + (acc + k4) dt/6. */
-typedef struct {
-    const double *Z;
-    double *out;
-    double *QP, *k, *acc; /* 2 x n and 5 x n each */
-    double *args; /* 3 x n, the table's arguments */
-    double pmv, dt6; /* pmv as rk4_start was given it */
-    double h[3]; /* the next stage's input is Z + h[j] k after stage j: dt/2, dt/2, dt */
-    int linear; /* nonzero: the linearized flow, which reads only the X and X - pi table rows */
-} rk4;
 
 static const double PI = 3.141592653589793;
 
 /* The stage input z = Z + h k (z = Z without k) as the workspace's rows W, V, U, J
  * and the args X + 0, X - pi, X + pi. */
-static void stage_input(const stage *w, double *restrict args, const double *Z,
-                        const double *k, double h)
+static void stage_input(const stage *w, const double *k, double h)
 {
     const long n = w->n;
-    double *restrict rows = w->rows;
+    const double *Z = w->Z;
+    double *restrict rows = w->rows, *restrict args = w->args;
     for (long i = 0; i < n; i++) {
         double x = k ? Z[i] + h * k[i] : Z[i];
         args[i] = x + 0.0; /* -0.0 becomes +0.0: the table of X + 0, not of X */
@@ -145,26 +136,28 @@ static void stage_input(const stage *w, double *restrict args, const double *Z,
         rows[i - n] = k ? Z[i] + h * k[i] : Z[i];
 }
 
-/* Starts a step from Z into out with Z as the first stage's input and pmv as its mean term. */
-void rk4_start(const stage *w, rk4 *r, const double *Z, double *out, double pmv)
+/* Starts a classical RK4 step of dt from Z, 5 x n, into out, with Z as the first stage's
+ * input and pmv as every stage's mean term; linear picks the linearized flow. */
+void rk4_start(stage *w, const double *Z, double *out, double pmv, double dt, int linear)
 {
-    r->Z = Z, r->out = out, r->pmv = pmv;
-    stage_input(w, r->args, Z, 0, 0.0);
+    w->Z = Z, w->out = out, w->pmv = pmv, w->linear = linear;
+    w->dt6 = dt / 6.0, w->h[0] = w->h[1] = 0.5 * dt, w->h[2] = dt;
+    stage_input(w, 0, 0.0);
 }
 
-/* Stage j = 0..3 of the step on the table NumPy filled from its input; then the next
- * stage's input, or after stage 3 the step's result.  Returns the stage's P[0] (0 when
- * linear). */
-double rk4_stage(const stage *w, const rk4 *r, int j)
+/* Stage j = 0..3 of the step on the table NumPy filled from its input: its derivative k
+ * goes into acc = ((k1 + 2 k2) + 2 k3), then the next stage's input, or after stage 3 the
+ * step's result out = Z + (acc + k4) dt/6.  Returns the stage's P[0] (0 when linear). */
+double rk4_stage(const stage *w, int j)
 {
     const long n5 = 5 * w->n;
-    const double *Z = r->Z, *k = r->k, dt6 = r->dt6;
-    double *acc = r->acc, *out = r->out;
-    if (r->linear) {
-        linear_derivative(w, r->k, r->pmv);
+    const double *Z = w->Z, *k = w->k, dt6 = w->dt6;
+    double *acc = w->acc, *out = w->out;
+    if (w->linear) {
+        stage_derivative(w, w->k, 1);
     } else {
-        stage_convolutions(w, r->QP);
-        stage_derivative(w, r->QP, r->k, r->pmv);
+        stage_convolutions(w, w->QP);
+        stage_derivative(w, w->k, 0);
     }
     if (j == 3) {
         for (long i = 0; i < n5; i++)
@@ -172,9 +165,9 @@ double rk4_stage(const stage *w, const rk4 *r, int j)
     } else {
         for (long i = 0; i < n5; i++)
             acc[i] = j == 0 ? k[i] : acc[i] + k[i] * 2.0;
-        stage_input(w, r->args, Z, k, r->h[j]);
+        stage_input(w, k, w->h[j]);
     }
-    return r->linear ? 0.0 : r->QP[w->n];
+    return w->linear ? 0.0 : w->QP[w->n];
 }
 
 __extension__ typedef unsigned __int128 u128;

@@ -31,7 +31,9 @@ table.  The kernel runs whole RK4 steps (:meth:`StageWorkspace.rk4_step`, and
 for the linearized flow :meth:`StageWorkspace.linear_step`): one call per stage
 after the table, which adds the stage to the step's sum and writes the next
 stage's input into the workspace.  A lone stage is the first stage of such a
-step.
+step.  The kernel and this module share one struct, ``stage`` and
+:class:`_Stage`, which holds a workspace's pointers into its 25 n floats,
+allocated once, and the step that ``rk4_start`` sets.
 
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
@@ -113,21 +115,15 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
 
 
 class _Stage(ctypes.Structure):
-    """The ``stage`` struct of ``_stage.c``: the pointers and weights that stay fixed for a
-    workspace, handed to the kernel once per workspace."""
+    """The ``stage`` struct of ``_stage.c``: a workspace's pointers and weights, which stay
+    fixed, and the step that ``rk4_start`` sets, handed to the kernel by reference."""
 
     _fields_ = [("n", ctypes.c_long),
-                *((name, _DOUBLES) for name in "cosh sinh rows half dx2_12 a b c".split()),
-                *((name, ctypes.c_double) for name in "a0 b0 c0 a1 b1 c1 half_m m M".split())]
-
-
-class _RK4(ctypes.Structure):
-    """The ``rk4`` struct of ``_stage.c``: a step's state pointers, its scratch and its step
-    sizes, handed to the kernel once per stage."""
-
-    _fields_ = [*((name, _DOUBLES) for name in "Z out QP k acc args".split()),
-                ("pmv", ctypes.c_double), ("dt6", ctypes.c_double), ("h", ctypes.c_double * 3),
-                ("linear", ctypes.c_int)]
+                *((name, _DOUBLES)
+                  for name in "cosh sinh rows half dx2_12 a b c QP k acc args".split()),
+                *((name, ctypes.c_double) for name in "a0 b0 c0 a1 b1 c1 half_m m M".split()),
+                ("Z", _DOUBLES), ("out", _DOUBLES), ("pmv", ctypes.c_double),
+                ("dt6", ctypes.c_double), ("h", ctypes.c_double * 3), ("linear", ctypes.c_int)]
 
 
 class StageBuildError(RuntimeError):
@@ -182,8 +178,9 @@ def _load_stage(cache_dir, cc=None):
                 old.unlink()
     lib = ctypes.CDLL(str(path))
     stage = ctypes.POINTER(_Stage)
-    lib.rk4_start.argtypes = (stage, ctypes.POINTER(_RK4), _DOUBLES, _DOUBLES, ctypes.c_double)
-    lib.rk4_stage.argtypes = (stage, ctypes.POINTER(_RK4), ctypes.c_int)
+    lib.rk4_start.argtypes = (stage, _DOUBLES, _DOUBLES, ctypes.c_double, ctypes.c_double,
+                              ctypes.c_int)
+    lib.rk4_stage.argtypes = (stage, ctypes.c_int)
     lib.rk4_start.restype = None
     lib.rk4_stage.restype = ctypes.c_double
     lib.state_csv.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_void_p)
@@ -201,12 +198,13 @@ def _stage_library():
 
 class StageWorkspace:
     """An RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the memory the stage
-    reads (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh`` and
-    ``sinh``: 13 n floats) and the compiled kernel ``_stage.c`` that reads only that memory,
-    given its pointers once.  Built by whoever runs the stages (once per run in
-    ``integrate_nonlinear`` and ``integrate_linear``); the steps of :meth:`rk4_step`,
-    :meth:`linear_step` and :meth:`first_stage` use it, and each holds the memory it reads,
-    so it may outlive the workspace."""
+    reads and writes (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh``
+    and ``sinh``, a stage's ``QP`` and derivative ``k`` and a step's sum ``acc``: 25 n floats)
+    and the compiled kernel ``_stage.c`` that reads only that memory, given its pointers once.
+    Built by whoever runs the stages (once per run in ``integrate_nonlinear`` and
+    ``integrate_linear``); the steps of :meth:`rk4_step` and :meth:`linear_step` and
+    :meth:`first_stage` share that memory, and a step holds it, so it may outlive the
+    workspace."""
 
     def __init__(self, s):
         self.grid = as_grid(s)
@@ -218,8 +216,10 @@ class StageWorkspace:
         self.shape = (n,)
         self.args, table, self.rows = np.empty((3, n)), np.empty((2, 3, n)), np.empty((4, n))
         self.cosh, self.sinh = table  # of the args
+        self.QP, self.k, acc = np.empty((2, n)), np.empty((5, n)), np.empty((5, n))
         (a, b, c), first, last = self.grid.stencil
-        memory = (self.cosh, self.sinh, self.rows, *self.grid.panel, a, b, c)
+        memory = (self.cosh, self.sinh, self.rows, *self.grid.panel, a, b, c, self.QP, self.k, acc,
+                  self.args)
         self.stage = ctypes.pointer(_Stage(
             n, *(r.ctypes.data_as(_DOUBLES) for r in memory), *first, *last, 0.5 * m, m, M))
         self.stage.memory = memory  # what the struct points at lives as long as the struct
@@ -245,40 +245,34 @@ class StageWorkspace:
 
     def first_stage(self, Z: np.ndarray, pmv: float):
         """The first stage of a :meth:`rk4_step` step from Z: its derivative dZ, (5, n), and
-        its (Q, P), (2, n), in this workspace's memory, which the next first stage overwrites."""
-        if "_first" not in vars(self):  # built once: its ctypes struct costs more than a stage
-            self._first = self._stages(0.0, 0.0, 1)
-        self._first(0.0, Z, pmv)
-        QP, dZ = self._first.memory[:2]
-        return dZ, QP
+        its (Q, P), (2, n), in this workspace's memory, which the next stage overwrites."""
+        self._stages(pmv, 0.0, 1)(0.0, Z)
+        return self.k, self.QP
 
     def _stages(self, pmv: float, dt: float, count: int, linear: bool = False):
         """The step of :meth:`rk4_step` (of :meth:`linear_step` if linear) cut after its first
-        count stages (4: the whole step), each of which leaves its derivative in
-        ``step.memory``'s k and, unless linear, its (Q, P) in QP."""
+        count stages (4: the whole step), each of which leaves its derivative in ``k`` and,
+        unless linear, its (Q, P) in ``QP``."""
         shape = (5,) + self.shape
-        memory = np.empty((2,) + self.shape), np.empty(shape), np.empty(shape), self.args
-        rk4 = ctypes.pointer(_RK4(None, None, *(a.ctypes.data_as(_DOUBLES) for a in memory),
-                                  0.0, dt / 6.0, (0.5 * dt, 0.5 * dt, dt), linear))
         rows = slice(2 if linear else 3)  # the table rows the stage reads: X, X - pi (, pi + X)
         start, stage, w, args, cosh, sinh = (self.rk4_start, self.rk4_stage, self.stage,
                                              self.args[rows], self.cosh[rows], self.sinh[rows])
 
-        def step(t, Z, pmv=pmv):
+        def step(t, Z):
             Z = np.ascontiguousarray(Z, dtype=float)
             if Z.shape != shape:  # the kernel would read past the end of a smaller Z
                 raise ValueError(f"a step needs the {shape} rows X, W, V, U, J, got {Z.shape}")
             out = np.empty(shape)
-            start(w, rk4, ctypes.c_double.from_buffer(Z), ctypes.c_double.from_buffer(out), pmv)
+            start(w, ctypes.c_double.from_buffer(Z), ctypes.c_double.from_buffer(out), pmv, dt,
+                  linear)
             for j in range(count):
                 np.cosh(args, out=cosh)
                 np.sinh(args, out=sinh)
-                p = stage(w, rk4, j)
+                p = stage(w, j)
                 if j == 0:
                     p0 = None if linear else p  # the extra: P(0) of Z itself
             return out, p0
 
-        step.memory = memory  # QP, k, acc and args: what rk4 points at
         return step
 
 

@@ -109,7 +109,7 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     the requested save times that were reached, dense peak diagnostics every
     step, and the run's status, stop time and largest slope).
     """
-    if slope_threshold <= 0:
+    if not slope_threshold > 0:  # NaN fails this too
         raise ValueError("slope_threshold must be positive")
     n_steps, saves = save_steps(t_end, dt, save_times)
     start = initial_state(ic, n_chars)

@@ -23,12 +23,14 @@ import numpy as np
 
 
 class Grid:
-    """Increasing nodes with their panel weights and derivative stencil, each built once."""
+    """Finite increasing nodes with their panel weights and derivative stencil, each built once."""
 
     def __init__(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or len(x) == 0:
             raise ValueError("nodes must be a nonempty 1-d array")
+        if not np.isfinite(x).all():  # before the differences: inf - inf would warn
+            raise ValueError("nodes must be finite")
         self.x, self.dx = x, x[1:] - x[:-1]
         if len(x) > 1 and self.dx.min() <= 0:
             raise ValueError("nodes must be strictly increasing")

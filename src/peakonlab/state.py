@@ -116,7 +116,8 @@ def save_steps(t_end: float, dt: float, save_times=None):
     """Step counts (to t_end, to each save time) of a fixed-step run.
 
     Save times default to [t_end].  Every time must be a whole number of
-    steps within [0, t_end]; the save steps come back sorted and unique.
+    steps within [0, t_end], and two different times (0 among them) may not
+    round to one step; the save steps come back sorted and unique.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -125,12 +126,20 @@ def save_steps(t_end: float, dt: float, save_times=None):
         q = t / dt
         if not math.isfinite(q) or abs(q - round(q)) > 1e-6:
             raise ValueError(f"time {t!r} is not a whole number of steps dt={dt!r}")
+        if t != 0 and round(q) == 0:
+            raise ValueError(f"time {t!r} is not 0 but rounds to step 0 of dt={dt!r}")
         return int(round(q))
 
     n_end = steps(t_end)
     if n_end < 0:
         raise ValueError("t_end must be nonnegative")
-    saves = sorted({steps(t) for t in ([t_end] if save_times is None else save_times)})
+    seen = {}  # step count -> the save time at it
+    for t in [t_end] if save_times is None else save_times:
+        k = steps(t)
+        if seen.setdefault(k, t) != t:
+            raise ValueError(f"save times {seen[k]!r} and {t!r} both round to step {k} of "
+                             f"dt={dt!r}")
+    saves = sorted(seen)
     if saves and (saves[0] < 0 or saves[-1] > n_end):
         raise ValueError("save times must lie within [0, t_end]")
     return n_end, saves

@@ -352,6 +352,18 @@ def test_error_exit_code_on_partial_step(tmp_path):
         assert not (tmp_path / mode).exists()  # rejected before anything is written
 
 
+@pytest.mark.parametrize("args, why", [
+    (["nonlinear", "--ic", "0.01*sin", "--t", "0.5,1", "--dt", "1e7"], "rounds to step 0"),
+    (["linear-ode", "--ic", "sin", "--t", "0,1,1.0000000001", "--dt", "1e-3"], "both round"),
+], ids=["under-one-step", "two-times-one-step"])
+def test_times_that_would_be_snapped_are_an_error(tmp_path, capsys, args, why):
+    # these ran once as t=0 "completed" and as two CSVs for three times
+    code = main(args + ["--nchars", "16", "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and why in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_non_finite_linear_run_reported_as_error(tmp_path, capsys):
     # steps of 0.5 overflow the e^t end near t = 708; that is an error, not a crash
     code = main(["linear-ode", "--ic", "cos", "--t", "800", "--dt", "0.5",

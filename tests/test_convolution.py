@@ -255,6 +255,9 @@ def test_kernel_inputs_are_checked_before_the_foreign_call():
                           _rhs(ws, Z.astype(np.float32).astype(float), 0.1)[0])
     with pytest.raises(ValueError, match="at least 3 nodes"):
         cv.StageWorkspace(s[[0, -1]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            cv.StageWorkspace(np.concatenate([s[:3], [bad], s[4:]]))
 
 
 def _counting_compiler(monkeypatch):

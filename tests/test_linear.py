@@ -226,6 +226,23 @@ def test_save_time_validation():
         integrate_linear(sine(), 1.0, dt=0.25, n_chars=32, save_times=[0.3, 1.0])
 
 
+def test_save_times_are_not_merged_or_snapped_to_step_zero():
+    # a time other than 0 within the whole-step tolerance of 0 steps, and two times within it
+    # of one count, used to become t=0 and one save; both are refused
+    for t_end, dt, save_times in ((1.0, 1e7, [0.5, 1.0]), (1e-10, 1e-3, None),
+                                  (1.0, 1e-3, [-1e-10, 1.0])):
+        with pytest.raises(ValueError, match="rounds to step 0"):
+            state.save_steps(t_end, dt, save_times)
+    with pytest.raises(ValueError, match="both round to step 1000"):
+        state.save_steps(1.0000000001, 1e-3, [0.0, 1.0, 1.0000000001])
+    with pytest.raises(ValueError, match="both round to step 1000"):
+        integrate_linear(sine(), 1.0000000001, dt=1e-3, n_chars=32, save_times=[0.0, 1.0,
+                                                                               1.0000000001])
+    # one time given twice is one save, and a time within the tolerance of its count is kept
+    assert state.save_steps(1.0, 0.25, [1.0, 0.5, 1.0, 0.0]) == (4, [0, 2, 4])
+    assert state.save_steps(0.30000000000000004, 0.1) == (3, [3])
+
+
 def test_one_compiled_call_per_linear_rk4_stage(monkeypatch):
     # four calls of the compiled stage per step, no stage after the last step and no
     # _linear_rhs

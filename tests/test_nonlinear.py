@@ -254,14 +254,18 @@ def _warped_states():
 
 def test_stage_matches_the_unbuffered_formulas_bitwise():
     # the warped states, one at n=4096, one at n=16 whose coarse panels pin the order of
-    # the kernel's g' sums, and one whose slope U ~ 1e200 overflows the stage
+    # the kernel's g' sums, one with a nonzero mean, which pins the order of the pmv terms,
+    # and one whose slope U ~ 1e200 overflows the stage
     ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
+    mean = InitialCondition(cosine_coeffs=(0.3, 0.1), sine_coeffs=(0.2,), constant=0.1)
     big = linear.exact_state(1.3, ic, 257)
     overflowing = big.stack()
     overflowing[3] *= 1e200 / np.max(np.abs(overflowing[3]))
     cases = [(st.s, st.stack(), st.vbar) for st in _warped_states()]
     cases += [(st.s, st.stack(), st.vbar) for st in (linear.exact_state(1.3, ic, 4096),
-                                                      linear.exact_state(1.9, ic, 16))]
+                                                      linear.exact_state(1.9, ic, 16),
+                                                      linear.exact_state(0.7, mean, 129))]
+    assert cases[-1][2] != 0.0
     cases.append((big.s, overflowing, big.vbar))
     for s, Z, vbar in cases:
         pmv = math.pi * m * m * vbar
@@ -368,6 +372,29 @@ def test_stages_on_alternating_workspaces_match_fresh_ones_bitwise():
                            node_convolutions(kept[len(st.s)], st.X, st.V, st.U, st.J)))
 
 
+def test_steps_and_stages_sharing_a_workspace_match_fresh_workspaces_bitwise():
+    # a workspace's nonlinear and linear steps, its lone stages (_rhs) and node_convolutions
+    # all write its one scratch; interleaved, each result is that of a fresh workspace
+    ic = InitialCondition(cosine_coeffs=(0.3, 0.1), sine_coeffs=(0.2,), constant=0.1)
+    st1, st2 = linear.exact_state(0.7, ic, 129), linear.exact_state(1.9, ic, 129)
+    pmv = math.pi * m * m * st1.vbar
+    calls = [lambda ws: ws.rk4_step(pmv, 1e-2)(0.0, st1.stack()),
+             lambda ws: nonlinear._rhs(ws, st2.stack(), pmv),
+             lambda ws: ws.linear_step(pmv, 1e-2)(0.0, st2.stack()),
+             lambda ws: node_convolutions(ws, st1.X, st1.V, st1.U, st1.J),
+             lambda ws: ws.linear_step(pmv, 5e-4)(0.0, st1.stack()),
+             lambda ws: ws.rk4_step(pmv, 5e-4)(0.0, st2.stack())]
+    fresh = [call(StageWorkspace(st1.s)) for call in calls]
+    shared = StageWorkspace(st1.s)
+    steps = shared.rk4_step(pmv, 1e-2), shared.linear_step(pmv, 1e-2)  # built before the others
+    for _ in range(2):
+        for call, want in zip(calls, fresh):
+            got = call(shared)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.array_equal(steps[0](0.0, st1.stack())[0], fresh[0][0])
+            assert np.array_equal(steps[1](0.0, st2.stack())[0], fresh[2][0])
+
+
 def test_the_step_of_a_dropped_workspace_matches_a_kept_ones_bitwise():
     # a step keeps alive all the memory its compiled calls read, so freeing its workspace
     # and handing that memory to new arrays leaves its results alone
@@ -402,6 +429,8 @@ def test_input_validation():
         integrate_nonlinear(sine(), 1.0, dt=1e-3, n_chars=4)
     with pytest.raises(ValueError):
         integrate_nonlinear(sine(), 1.0, dt=1e-3, n_chars=64, slope_threshold=-1.0)
+    with pytest.raises(ValueError, match="slope_threshold"):  # NaN would never stop a run
+        integrate_nonlinear(sine(), 1.0, dt=1e-3, n_chars=64, slope_threshold=math.nan)
     with pytest.raises(ValueError):
         integrate_nonlinear(sine(), 1.0, dt=1e-3, n_chars=64, save_times=[5.0])
     # a run must not report "completed" short of t_end

@@ -1,5 +1,7 @@
 """Panel rule exactness and finite-difference derivative order."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,12 @@ def test_grid_validation():
                 np.array([0.0, 2.0, 1.0])):
         with pytest.raises(ValueError):
             Grid(bad)
+    # NaN compares false and inf - inf is NaN, so neither passes as increasing
+    for bad in ([0.0, math.nan, 2.0], [0.0, math.inf, math.inf], [-math.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(bad)
+    with pytest.raises(ValueError, match="finite"):
+        integrate_samples([0.0, math.nan, 1.0, 2.0], np.ones(4))
     with pytest.raises(ValueError, match="3 nodes"):
         fd_derivative(np.array([0.0, 1.0]), np.zeros(2))
     with pytest.raises(ValueError):
