@@ -18,7 +18,8 @@
 #include <string.h>
 
 /* A workspace: what stays fixed for its n nodes, its scratch, and the step that
- * rk4_start set.  Only rk4_start and rk4_stage write through its pointers. */
+ * rk4_start set.  Only rk4_start and rk4_stage write through its pointers.  Python's
+ * convolution.StageWorkspace is this struct: its _fields_ repeat these members in order. */
 typedef struct {
     long n;
     const double *cosh, *sinh; /* 3 x n each, of the args X, X - pi, pi + X */

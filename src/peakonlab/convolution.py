@@ -31,9 +31,9 @@ table.  The kernel runs whole RK4 steps (:meth:`StageWorkspace.rk4_step`, and
 for the linearized flow :meth:`StageWorkspace.linear_step`): one call per stage
 after the table, which adds the stage to the step's sum and writes the next
 stage's input into the workspace.  A lone stage is the first stage of such a
-step.  The kernel and this module share one struct, ``stage`` and
-:class:`_Stage`, which holds a workspace's pointers into its 25 n floats,
-allocated once, and the step that ``rk4_start`` sets.
+step.  A :class:`StageWorkspace` is the kernel's ``stage`` struct itself: its
+pointers into the 25 n floats it allocates once and owns, and the step that
+``rk4_start`` sets; each compiled call is handed the workspace.
 
 For the identity that eliminates the convolutions from the linearized flow,
 see :func:`reduction_identity_gap`.
@@ -114,18 +114,6 @@ def conv_p(sample: DensitySample, targets=None) -> np.ndarray:
     return _half_convolution("phi", sample, targets)
 
 
-class _Stage(ctypes.Structure):
-    """The ``stage`` struct of ``_stage.c``: a workspace's pointers and weights, which stay
-    fixed, and the step that ``rk4_start`` sets, handed to the kernel by reference."""
-
-    _fields_ = [("n", ctypes.c_long),
-                *((name, _DOUBLES)
-                  for name in "cosh sinh rows half dx2_12 a b c QP k acc args".split()),
-                *((name, ctypes.c_double) for name in "a0 b0 c0 a1 b1 c1 half_m m M".split()),
-                ("Z", _DOUBLES), ("out", _DOUBLES), ("pmv", ctypes.c_double),
-                ("dt6", ctypes.c_double), ("h", ctypes.c_double * 3), ("linear", ctypes.c_int)]
-
-
 class StageBuildError(RuntimeError):
     """The C compiler could not build ``_stage.c``; the message names the command and its stderr."""
 
@@ -177,7 +165,7 @@ def _load_stage(cache_dir, cc=None):
             with contextlib.suppress(OSError):
                 old.unlink()
     lib = ctypes.CDLL(str(path))
-    stage = ctypes.POINTER(_Stage)
+    stage = ctypes.POINTER(StageWorkspace)
     lib.rk4_start.argtypes = (stage, _DOUBLES, _DOUBLES, ctypes.c_double, ctypes.c_double,
                               ctypes.c_int)
     lib.rk4_stage.argtypes = (stage, ctypes.c_int)
@@ -196,33 +184,35 @@ def _stage_library():
     return _load_stage(Path(__file__).with_name("__pycache__"))
 
 
-class StageWorkspace:
-    """An RK4 stage on n >= 3 nodes s: the :class:`.quadrature.Grid` of s, the memory the stage
-    reads and writes (the ``rows`` W, V, U, J, ``args`` = X, X - pi, pi + X and their ``cosh``
-    and ``sinh``, a stage's ``QP`` and derivative ``k`` and a step's sum ``acc``: 25 n floats)
-    and the compiled kernel ``_stage.c`` that reads only that memory, given its pointers once.
-    Built by whoever runs the stages (once per run in ``integrate_nonlinear`` and
-    ``integrate_linear``); the steps of :meth:`rk4_step` and :meth:`linear_step` and
-    :meth:`first_stage` share that memory, and a step holds it, so it may outlive the
-    workspace."""
+class StageWorkspace(ctypes.Structure):
+    """An RK4 stage on n >= 3 nodes s as the ``stage`` struct of ``_stage.c``, which its kernel
+    reads: pointers into the ``arrays`` it owns (the ``rows`` W, V, U, J, ``args`` = X, X - pi,
+    pi + X and their ``cosh`` and ``sinh``, a stage's ``QP`` and derivative ``k`` and a step's
+    sum ``acc``: 25 n floats, and the weights of the :class:`.quadrature.Grid` of s) and the step
+    that ``rk4_start`` sets.  Built once per run by ``integrate_nonlinear`` and
+    ``integrate_linear``; the steps of :meth:`rk4_step` and :meth:`linear_step` and
+    :meth:`first_stage` share its memory, and a step holds its workspace."""
+
+    _fields_ = [("n", ctypes.c_long),
+                *((name, _DOUBLES)
+                  for name in "cosh sinh rows half dx2_12 a b c QP k acc args".split()),
+                *((name, ctypes.c_double) for name in "a0 b0 c0 a1 b1 c1 half_m m M".split()),
+                ("Z", _DOUBLES), ("out", _DOUBLES), ("pmv", ctypes.c_double),
+                ("dt6", ctypes.c_double), ("h", ctypes.c_double * 3), ("linear", ctypes.c_int)]
 
     def __init__(self, s):
-        self.grid = as_grid(s)
-        n = len(self.grid.x)
+        grid = as_grid(s)
+        n = len(grid.x)
         if n < 3:
             raise ValueError("a stage needs at least 3 nodes")
         lib = _stage_library()
         self.rk4_start, self.rk4_stage = lib.rk4_start, lib.rk4_stage
-        self.shape = (n,)
-        self.args, table, self.rows = np.empty((3, n)), np.empty((2, 3, n)), np.empty((4, n))
-        self.cosh, self.sinh = table  # of the args
-        self.QP, self.k, acc = np.empty((2, n)), np.empty((5, n)), np.empty((5, n))
-        (a, b, c), first, last = self.grid.stencil
-        memory = (self.cosh, self.sinh, self.rows, *self.grid.panel, a, b, c, self.QP, self.k, acc,
-                  self.args)
-        self.stage = ctypes.pointer(_Stage(
-            n, *(r.ctypes.data_as(_DOUBLES) for r in memory), *first, *last, 0.5 * m, m, M))
-        self.stage.memory = memory  # what the struct points at lives as long as the struct
+        (a, b, c), first, last = grid.stencil
+        # the arrays of the pointer fields cosh ... args, in field order
+        self.arrays = (*np.empty((2, 3, n)), np.empty((4, n)), *grid.panel, a, b, c,
+                       np.empty((2, n)), np.empty((5, n)), np.empty((5, n)), np.empty((3, n)))
+        super().__init__(n, *(r.ctypes.data_as(_DOUBLES) for r in self.arrays), *first, *last,
+                         0.5 * m, m, M)
 
     def rk4_step(self, pmv: float, dt: float):
         """The classical RK4 step of dt for the nonlinear flow, ``state.rk4(rhs, dt)`` bit for
@@ -247,28 +237,29 @@ class StageWorkspace:
         """The first stage of a :meth:`rk4_step` step from Z: its derivative dZ, (5, n), and
         its (Q, P), (2, n), in this workspace's memory, which the next stage overwrites."""
         self._stages(pmv, 0.0, 1)(0.0, Z)
-        return self.k, self.QP
+        *_, QP, k, _, _ = self.arrays  # ..., QP, k, acc, args
+        return k, QP
 
     def _stages(self, pmv: float, dt: float, count: int, linear: bool = False):
         """The step of :meth:`rk4_step` (of :meth:`linear_step` if linear) cut after its first
         count stages (4: the whole step), each of which leaves its derivative in ``k`` and,
         unless linear, its (Q, P) in ``QP``."""
-        shape = (5,) + self.shape
+        shape = (5, self.n)
         rows = slice(2 if linear else 3)  # the table rows the stage reads: X, X - pi (, pi + X)
-        start, stage, w, args, cosh, sinh = (self.rk4_start, self.rk4_stage, self.stage,
-                                             self.args[rows], self.cosh[rows], self.sinh[rows])
+        (cosh, sinh, *_, args), start, stage = self.arrays, self.rk4_start, self.rk4_stage
+        args, cosh, sinh = args[rows], cosh[rows], sinh[rows]
 
         def step(t, Z):
             Z = np.ascontiguousarray(Z, dtype=float)
             if Z.shape != shape:  # the kernel would read past the end of a smaller Z
                 raise ValueError(f"a step needs the {shape} rows X, W, V, U, J, got {Z.shape}")
             out = np.empty(shape)
-            start(w, ctypes.c_double.from_buffer(Z), ctypes.c_double.from_buffer(out), pmv, dt,
+            start(self, ctypes.c_double.from_buffer(Z), ctypes.c_double.from_buffer(out), pmv, dt,
                   linear)
             for j in range(count):
                 np.cosh(args, out=cosh)
                 np.sinh(args, out=sinh)
-                p = stage(w, j)
+                p = stage(self, j)
                 if j == 0:
                     p0 = None if linear else p  # the extra: P(0) of Z itself
             return out, p0
@@ -290,7 +281,7 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     or their :class:`.quadrature.Grid`, for which a new workspace is built and dropped.
     """
     ws = s if isinstance(s, StageWorkspace) else StageWorkspace(s)
-    Z = np.empty((5,) + ws.shape)
+    Z = np.empty((5, ws.n))
     for row, x in zip(Z, (X, 0.0, V, U, J)):
         np.copyto(row, x)
     return ws.first_stage(Z, 0.0)[1].copy()

@@ -60,8 +60,8 @@ class IntegrationError(RuntimeError):
 
 
 def _check_time(t) -> None:
-    if not t >= 0:  # NaN fails this too
-        raise ValueError(f"t must be nonnegative, got {t!r}")
+    if not 0 <= t < math.inf:  # NaN fails this too
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
 
 
 class ClosedForm:

@@ -151,9 +151,11 @@ def measured_forcing_bound(trajectory: NonlinearTrajectory) -> float:
     return max(0.0, float(np.max(bracket)))
 
 
-def _riccati_roots(forcing: float):
-    if forcing < 0:
-        raise ValueError("forcing must be nonnegative")
+def _riccati_roots(u0: float, forcing: float):
+    if not 0 <= forcing < math.inf:  # NaN fails this too
+        raise ValueError(f"forcing must be finite and nonnegative, got {forcing!r}")
+    if not math.isfinite(u0):
+        raise ValueError(f"u0 must be finite, got {u0!r}")
     root = math.sqrt(1.0 + 2.0 * forcing)
     return 1.0 + root, 1.0 - root  # r_plus, r_minus (negative equilibrium)
 
@@ -168,7 +170,7 @@ def riccati_bound(u0: float, forcing: float) -> float:
     where r+- = 1 +- sqrt(1 + 2 forcing) are the equilibria; infinite when
     u0 >= r- (the negative root, which lies in (-forcing, 0)).
     """
-    r_plus, r_minus = _riccati_roots(forcing)
+    r_plus, r_minus = _riccati_roots(u0, forcing)
     if u0 >= r_minus:
         return math.inf
     delta = r_plus - r_minus
@@ -181,7 +183,7 @@ def riccati_supersolution(u0: float, forcing: float, t):
     Valid for t below the escape time when u0 lies under the negative
     equilibrium.  Vectorized over t.
     """
-    r_plus, r_minus = _riccati_roots(forcing)
+    r_plus, r_minus = _riccati_roots(u0, forcing)
     t = np.asarray(t, dtype=float)
     ratio0 = (u0 - r_plus) / (u0 - r_minus)
     ratio = ratio0 * np.exp(-0.5 * (r_plus - r_minus) * t)

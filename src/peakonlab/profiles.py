@@ -49,6 +49,9 @@ class InitialCondition:
     def __post_init__(self):
         object.__setattr__(self, "cosine_coeffs", tuple(float(a) for a in self.cosine_coeffs))
         object.__setattr__(self, "sine_coeffs", tuple(float(b) for b in self.sine_coeffs))
+        if not all(map(math.isfinite, (*self.cosine_coeffs, *self.sine_coeffs,
+                                       self.bump_amplitude, self.constant))):
+            raise ValueError("profile coefficients must be finite")
 
     # -- closed-form evaluators (s on [0, 2*pi]) ---------------------------
 
@@ -133,16 +136,19 @@ class InitialCondition:
         return math.sqrt(integrate_samples(s, f))
 
 
+def _harmonic(amplitude: float, k: int) -> tuple:
+    """The coefficients of amplitude times the k-th harmonic alone, k >= 1."""
+    if not k >= 1:
+        raise ValueError(f"harmonic index k must be >= 1, got {k!r}")
+    return (0.0,) * (k - 1) + (amplitude,)
+
+
 def sine(amplitude: float = 1.0, k: int = 1) -> InitialCondition:
-    coeffs = [0.0] * k
-    coeffs[k - 1] = amplitude
-    return InitialCondition(sine_coeffs=tuple(coeffs))
+    return InitialCondition(sine_coeffs=_harmonic(amplitude, k))
 
 
 def cosine(amplitude: float = 1.0, k: int = 1) -> InitialCondition:
-    coeffs = [0.0] * k
-    coeffs[k - 1] = amplitude
-    return InitialCondition(cosine_coeffs=tuple(coeffs))
+    return InitialCondition(cosine_coeffs=_harmonic(amplitude, k))
 
 
 def bump(amplitude: float) -> InitialCondition:
@@ -157,5 +163,7 @@ def steepest_budget_bump(budget: float) -> InitialCondition:
     the sup-norm of the slope is |beta|, attained (with negative sign) just
     right of the peak.
     """
+    if not 0 < budget < math.inf:  # NaN fails this too
+        raise ValueError(f"budget must be finite and positive, got {budget!r}")
     psi_h1 = math.sqrt(BUMP_L2_SQ + BUMP_SLOPE_L2_SQ)
     return bump(-budget / (psi_h1 + 1.0))

@@ -1,9 +1,11 @@
 """Nonlocal operators: the O(n^2) oracle, the O(n) path and its compiled kernel, and the
 reduction identity."""
 
+import ctypes
 import hashlib
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -224,6 +226,24 @@ def test_reduction_identity_converges_with_nodes():
 
 
 # ------------------------------------------------- the compiled stage kernel
+
+def test_stage_workspace_declares_the_layout_of_the_kernel_struct():
+    # _fields_ copies the stage struct of _stage.c by hand, and a mismatch raises nothing:
+    # the kernel would read or write the wrong memory
+    source = Path(cv.__file__).with_name("_stage.c").read_text()
+    body = re.search(r"typedef struct \{(.*?)\} stage;", source, re.S).group(1)
+    declared = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        base = re.match(r"\s*(?:const\s+)?(\w+)", decl)  # the type, then its declarators
+        for d in decl[base.end():].split(","):
+            name, size = re.fullmatch(r"\s*\**(\w+)(\[\d+\])?\s*", d).groups()
+            declared.append((name, base[1] + ("*" if "*" in d else size or "")))
+    kind = lambda t: (kind(t._type_) + "*" if issubclass(t, ctypes._Pointer) else
+                      f"{kind(t._type_)}[{t._length_}]" if issubclass(t, ctypes.Array) else
+                      {ctypes.c_long: "long", ctypes.c_double: "double", ctypes.c_int: "int"}[t])
+    assert declared == [(name, kind(t)) for name, t in cv.StageWorkspace._fields_]
+    assert len(declared) == 28 and ("h", "double[3]") in declared
+
 
 def test_kernel_inputs_are_checked_before_the_foreign_call():
     s = cosine_grid(65)

@@ -196,7 +196,7 @@ def test_exact_state_assembles_consistently():
         assert all(type(x) is float for x in scalars)
 
 
-@pytest.mark.parametrize("t", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
 @pytest.mark.parametrize("closed_form", [
     lambda t: exact_characteristic(t, 1.0),
     lambda t: exact_v(t, 1.0, sine()),

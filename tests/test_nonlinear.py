@@ -16,7 +16,7 @@ from peakonlab.nonlinear import (integrate_nonlinear, nl_rhs, reconstruct_u, ric
                                  riccati_supersolution)
 from peakonlab.profiles import InitialCondition, bump, sine, steepest_budget_bump
 from peakonlab.quadrature import Grid, cumulative_integral, fd_derivative, integrate_samples
-from peakonlab.state import initial_state
+from peakonlab.state import cosine_grid, initial_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,19 +168,23 @@ def test_one_compiled_call_per_rk4_stage(monkeypatch):
 
 
 def test_compiled_step_matches_the_numpy_rk4_step_bitwise():
-    # the warped states at n = 16, 129, 512 and 4096, and one whose slope U ~ 1e200
-    # overflows every stage
+    # state.rk4 over the NumPy _reference_stage, on the warped states at n = 16, 129, 512 and
+    # 4096, one with a nonzero mean, which pins the order of the pmv terms, and one whose
+    # slope U ~ 1e200 overflows every stage
     ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
+    mean = InitialCondition((0.3, 0.1), (0.2,), constant=0.1)
     big = linear.exact_state(1.3, ic, 257)
     overflowing = big.stack()
     overflowing[3] *= 1e200 / np.max(np.abs(overflowing[3]))
     cases = [(st.s, st.stack(), st.vbar) for st in _warped_states()]
     cases += [(st.s, st.stack(), st.vbar) for st in (linear.exact_state(1.3, ic, 4096),
-                                                      linear.exact_state(1.9, ic, 16))]
+                                                      linear.exact_state(1.9, ic, 16),
+                                                      linear.exact_state(0.7, mean, 129))]
+    assert cases[-1][2] != 0.0
     cases.append((big.s, overflowing, big.vbar))
     for s, Z, vbar in cases:
         ws, pmv = StageWorkspace(s), math.pi * m * m * vbar
-        rhs = lambda t, Z: nonlinear._rhs(ws, Z, pmv)
+        rhs = _reference_rhs(s, pmv)
         for dt in (1e-2, 5e-4):
             kept = Z.copy()
             with np.errstate(all="ignore"):
@@ -196,7 +200,7 @@ def test_compiled_step_matches_the_numpy_rk4_step_bitwise():
 
 def test_integrate_nonlinear_matches_a_march_over_the_numpy_step(monkeypatch):
     # completed, stopped and non-finite runs, each against the same run whose march steps
-    # by state.rk4 over _rhs, the first stage of the compiled step
+    # by state.rk4 over the NumPy _reference_stage
     dt = 1e-2
     runs = [(sine(0.01), 0.5, 64, 1e6, [0.0, 0.2, 0.5]),
             (bump(-0.5), 6.0, 32, 1e6, [0.0, 0.5, 1.4]),
@@ -204,9 +208,10 @@ def test_integrate_nonlinear_matches_a_march_over_the_numpy_step(monkeypatch):
     run = lambda ic, t_end, n, threshold, saves: integrate_nonlinear(
         ic, t_end, dt=dt, n_chars=n, slope_threshold=threshold, save_times=saves)
     compiled = [run(*args) for args in runs]
-    monkeypatch.setattr(StageWorkspace, "rk4_step",
-                        lambda ws, pmv, dt: state.rk4(lambda t, Z: nonlinear._rhs(ws, Z, pmv), dt))
     for args, got in zip(runs, compiled):
+        s = cosine_grid(args[2])
+        monkeypatch.setattr(StageWorkspace, "rk4_step",
+                            lambda ws, pmv, dt: state.rk4(_reference_rhs(s, pmv), dt))
         want = run(*args)
         assert len(got.states) == len(want.states) > 1
         for a, b in zip(got.states, want.states):
@@ -242,6 +247,15 @@ def _reference_stage(s, Z, pmv):
         (php + U) * J])
     dZ[0, 0] = dZ[0, -1] = 0.0
     return Q, P, dZ
+
+
+def _reference_rhs(s, pmv):
+    """state.rk4's rhs for the stage of :func:`_reference_stage`: (dZ, P(0))."""
+    def rhs(t, Z):
+        with np.errstate(all="ignore"):  # a stopping run's last stages overflow
+            _, P, dZ = _reference_stage(s, Z, pmv)
+        return dZ, P[0]
+    return rhs
 
 
 def _warped_states():
@@ -519,6 +533,11 @@ def test_riccati_supersolution_closed_form():
         riccati_bound(-1.0, -0.2)
     with pytest.raises(ValueError):
         riccati_supersolution(0.0, -0.1, 1.0)
+    for u0, forcing in ((-5.0, math.nan), (-5.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            riccati_bound(u0, forcing)
+        with pytest.raises(ValueError):
+            riccati_supersolution(u0, forcing, 1.0)
 
 
 def test_doubled_root_start_blows_up_no_later_than_bound():

@@ -95,3 +95,26 @@ def test_steepest_budget_bump_saturates_budget():
     # the most negative slope sits just right of the peak
     s = np.linspace(0.0, TWO_PI, 1001)
     assert np.min(ic.slope(s)) == pytest.approx(ic.v0_slope_right, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["cosine_coeffs", "sine_coeffs", "bump_amplitude", "constant"])
+def test_non_finite_coefficients_are_refused(field, bad):
+    value = (0.1, bad) if field.endswith("coeffs") else bad
+    with pytest.raises(ValueError, match="finite"):
+        InitialCondition(**{field: value})
+
+
+@pytest.mark.parametrize("make", [sine, cosine])
+def test_harmonic_index_must_be_at_least_one(make):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            make(1.0, k)
+    assert make(1.0, 2) == InitialCondition(**{f"{make.__name__}_coeffs": (0.0, 1.0)})
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+def test_steepest_budget_bump_needs_a_finite_positive_budget(budget):
+    # a negative budget would give a bump whose slope right of the peak is positive
+    with pytest.raises(ValueError, match="budget"):
+        steepest_budget_bump(budget)
