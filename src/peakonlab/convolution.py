@@ -10,9 +10,9 @@ half-convolutions of the perturbation density
 Q has zero circle mean (so the perturbation mean is conserved) and is the
 x-derivative of P.  The O(n^2) oracle :func:`conv_q`/:func:`conv_p` takes
 samples on position nodes covering [0, 2*pi] and integrates in position.
-The integrator's O(n) path :func:`node_convolutions` works in the
-characteristic parameter with weight J = dX/ds, which keeps steepening
-fronts resolved where X compresses.
+The O(n) path that every RK4 stage runs, and :func:`node_convolutions` returns
+alone, works in the characteristic parameter with weight J = dX/ds, which
+keeps steepening fronts resolved where X compresses.
 
 Quadrature is the derivative-corrected trapezoid of :mod:`.quadrature`;
 the panel containing the kernel corner is split there with one-sided kernel
@@ -216,7 +216,8 @@ class StageWorkspace(ctypes.Structure):
 
     def rk4_step(self, pmv: float, dt: float):
         """The classical RK4 step of dt for the nonlinear flow, ``state.rk4(rhs, dt)`` bit for
-        bit when rhs(t, Z) is ``nonlinear._rhs(self, Z, pmv)``.
+        bit when rhs(t, Z) is the NumPy stage ``_reference_stage`` of ``tests/test_nonlinear.py``
+        with its P(0).
 
         ``step(t, Z)`` takes the (5, n) rows Z = (X, W, V, U, J) (another shape raises
         ValueError) and returns (Z one step later, a new array, and the first stage's P(0)).
@@ -234,11 +235,12 @@ class StageWorkspace(ctypes.Structure):
         return self._stages(pmv, dt, 4, linear=True)
 
     def first_stage(self, Z: np.ndarray, pmv: float):
-        """The first stage of a :meth:`rk4_step` step from Z: its derivative dZ, (5, n), and
-        its (Q, P), (2, n), in this workspace's memory, which the next stage overwrites."""
+        """The first stage of a :meth:`rk4_step` step from the (5, n) rows Z = (X, W, V, U, J)
+        (another shape raises ValueError): its derivative dZ in the same rows, (5, n), and its
+        (Q, P), (2, n), both new arrays."""
         self._stages(pmv, 0.0, 1)(0.0, Z)
         *_, QP, k, _, _ = self.arrays  # ..., QP, k, acc, args
-        return k, QP
+        return k.copy(), QP.copy()
 
     def _stages(self, pmv: float, dt: float, count: int, linear: bool = False):
         """The step of :meth:`rk4_step` (of :meth:`linear_step` if linear) cut after its first
@@ -284,7 +286,7 @@ def node_convolutions(s, X: np.ndarray, V: np.ndarray, U: np.ndarray, J: np.ndar
     Z = np.empty((5, ws.n))
     for row, x in zip(Z, (X, 0.0, V, U, J)):
         np.copyto(row, x)
-    return ws.first_stage(Z, 0.0)[1].copy()
+    return ws.first_stage(Z, 0.0)[1]
 
 
 def reduction_identity_gap(profile, x: float, nodes: int = 4096) -> float:

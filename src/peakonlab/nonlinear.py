@@ -47,17 +47,6 @@ from .profiles import InitialCondition
 from .state import CharacteristicState, initial_state, march, save_steps
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of a characteristic state."""
-
-    dX: np.ndarray
-    dV: np.ndarray
-    dW: np.ndarray
-    dU: np.ndarray
-    dJ: np.ndarray
-
-
 @dataclass
 class NonlinearTrajectory:
     """Outcome of a nonlinear run: saved states, dense per-step peak diagnostics, and
@@ -79,21 +68,14 @@ class NonlinearTrajectory:
     max_abs_slope: float
 
 
-def _rhs(ws: StageWorkspace, Z: np.ndarray, pmv: float):
-    """(dZ, P0) of the first stage of a step from the 5 stacked rows Z = (X, W, V, U, J) in the
-    caller's workspace ws (another shape raises ValueError); dZ is a new array."""
-    dZ, QP = ws.first_stage(Z, pmv)
-    return dZ.copy(), QP.item(1, 0)
-
-
-def nl_rhs(state: CharacteristicState) -> StateDerivative:
-    """Time derivative of a state under the nonlinear flow.
+def nl_rhs(state: CharacteristicState) -> np.ndarray:
+    """Time derivative of a state under the nonlinear flow: the new (5, n) rows
+    (dX, dW, dV, dU, dJ) of ``state.stack()``, from the first stage of a step.
 
     Zero perturbation reduces to the pure characteristic flow
     (dX = phi - M, dJ = phi' J); the peak value moves with dV[0] = -Q[v](0).
     """
-    dZ, _ = _rhs(StageWorkspace(state.s), state.stack(), math.pi * m * m * state.vbar)
-    return StateDerivative(dX=dZ[0], dV=dZ[2], dW=dZ[1], dU=dZ[3], dJ=dZ[4])
+    return StageWorkspace(state.s).first_stage(state.stack(), math.pi * m * m * state.vbar)[0]
 
 
 def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
@@ -102,7 +84,8 @@ def integrate_nonlinear(ic: InitialCondition, t_end: float, dt: float = 5e-4,
     """Fixed-step RK4 for the nonlinear characteristic system.
 
     Each step is ``StageWorkspace.rk4_step``, one compiled call per stage, which gives the
-    bits of ``state.rk4`` over :func:`_rhs`; the final record's P(0) comes from one more step.
+    bits of ``state.rk4`` over the NumPy stage ``_reference_stage`` of ``tests/test_nonlinear.py``;
+    the final record's P(0) comes from one more step.
     Advances until ``t_end`` or until breaking is detected (max|U| at or
     above ``slope_threshold``, or a non-finite state).  t_end and the save
     times must be whole numbers of steps.  Returns the trajectory (states at

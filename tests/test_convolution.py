@@ -20,7 +20,6 @@ from hypothesis import strategies as hst
 from peakonlab import convolution as cv
 from peakonlab.convolution import DensitySample, conv_p, conv_q, node_convolutions, q_density
 from peakonlab.kernel import M, m, phi_open_interval, phi_prime_open_interval
-from peakonlab.nonlinear import _rhs
 from peakonlab.profiles import InitialCondition, cosine, sine
 from peakonlab.quadrature import integrate_samples
 from peakonlab.state import cosine_grid
@@ -259,7 +258,7 @@ def test_kernel_inputs_are_checked_before_the_foreign_call():
     Z = np.stack([X, np.zeros_like(s), V, U, J])
     for bad in (Z[:4], Z[:, :-1], np.hstack([Z, Z[:, :1]])):
         with pytest.raises(ValueError):
-            _rhs(ws, bad, 0.1)
+            ws.first_stage(bad, 0.1)
     # other layouts and dtypes are converted: the same bits as float64 rows
     strided, as_list = np.repeat(V, 2)[::2], U.tolist()
     assert not strided.flags.c_contiguous
@@ -269,10 +268,10 @@ def test_kernel_inputs_are_checked_before_the_foreign_call():
     got = node_convolutions(ws, X, V.astype(np.float32), U, 1)
     want = node_convolutions(ws, X, V.astype(np.float32).astype(float), U, np.ones_like(s))
     assert np.array_equal(got, want)
-    dZ, p0 = _rhs(ws, Z, 0.1)
-    assert np.array_equal(_rhs(ws, np.asfortranarray(Z), 0.1)[0], dZ)
-    assert np.array_equal(_rhs(ws, Z.astype(np.float32), 0.1)[0],
-                          _rhs(ws, Z.astype(np.float32).astype(float), 0.1)[0])
+    dZ, _ = ws.first_stage(Z, 0.1)
+    assert np.array_equal(ws.first_stage(np.asfortranarray(Z), 0.1)[0], dZ)
+    assert np.array_equal(ws.first_stage(Z.astype(np.float32), 0.1)[0],
+                          ws.first_stage(Z.astype(np.float32).astype(float), 0.1)[0])
     with pytest.raises(ValueError, match="at least 3 nodes"):
         cv.StageWorkspace(s[[0, -1]])
     for bad in (np.nan, np.inf):

@@ -25,12 +25,12 @@ TWO_PI = 2.0 * math.pi
 
 def test_rhs_zero_state_reduces_to_wave_flow():
     st = initial_state(InitialCondition(), 128)
-    d = nl_rhs(st)
-    assert np.all(d.dV == 0.0) and np.all(d.dW == 0.0) and np.all(d.dU == 0.0)
+    dX, dW, dV, dU, dJ = nl_rhs(st)
+    assert np.all(dV == 0.0) and np.all(dW == 0.0) and np.all(dU == 0.0)
     expect_dX = phi(st.s) - M
     expect_dX[0] = expect_dX[-1] = 0.0
-    assert np.max(np.abs(d.dX - expect_dX)) < 1e-14
-    assert np.max(np.abs(d.dJ - phi_prime_open_interval(st.s) * st.J)) < 1e-14
+    assert np.max(np.abs(dX - expect_dX)) < 1e-14
+    assert np.max(np.abs(dJ - phi_prime_open_interval(st.s) * st.J)) < 1e-14
 
 
 def test_rhs_peak_boundary_block():
@@ -38,16 +38,16 @@ def test_rhs_peak_boundary_block():
     # moves the peak value (dV[0] = -0.02)
     for ic in (sine(0.2), InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))):
         st = initial_state(ic, 256)
-        d = nl_rhs(st)
-        assert d.dX[0] == 0.0 and d.dX[-1] == 0.0
-        assert abs(d.dW[0]) < 1e-15
+        dX, dW, dV, _, _ = nl_rhs(st)
+        assert dX[0] == 0.0 and dX[-1] == 0.0
+        assert abs(dW[0]) < 1e-15
         # peak value moves with minus the slope-kernel convolution at the peak,
         # against the O(n^2) oracle within the property test's 1e-10 int q
         sample = DensitySample(nodes=st.s, v=st.V, vx=st.U)
         tol = 1e-10 * integrate_samples(st.s, q_density(sample))
-        assert abs(d.dV[0] + conv_q(sample, 0.0)[0]) <= tol
+        assert abs(dV[0] + conv_q(sample, 0.0)[0]) <= tol
         # both peak-side characteristics see the same peak motion
-        assert d.dV[0] == pytest.approx(d.dV[-1], abs=1e-12)
+        assert dV[0] == pytest.approx(dV[-1], abs=1e-12)
 
 
 def test_rhs_quadratic_remainder_against_linearization():
@@ -59,12 +59,8 @@ def test_rhs_quadratic_remainder_against_linearization():
     for amp in (0.2, 0.1, 0.05):
         ic = sine(amp)
         st = initial_state(ic, 256)
-        d = nl_rhs(st)
-        Z = np.stack([st.X, st.W, st.V, st.U, st.J])
-        lin = _linear_rhs(Z, math.pi * m * m * ic.vbar)
-        gap = max(np.max(np.abs(d.dW - lin[1])), np.max(np.abs(d.dV - lin[2])),
-                  np.max(np.abs(d.dU - lin[3])))
-        gaps.append(gap)
+        lin = _linear_rhs(st.stack(), math.pi * m * m * ic.vbar)
+        gaps.append(np.max(np.abs(nl_rhs(st)[1:4] - lin[1:4])))  # the W, V and U rows
     assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.2)
     assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.2)
 
@@ -80,7 +76,7 @@ def test_rhs_local_terms_match_the_linearized_field_bitwise():
     for t in (0.0, 0.7, 3.0):
         st = linear.exact_state(t, ic, 129)
         Z = np.stack([st.X, st.W, np.zeros_like(st.V), np.zeros_like(st.U), st.J])
-        assert np.array_equal(nonlinear._rhs(StageWorkspace(st.s), Z, pmv)[0], _linear_rhs(Z, pmv))
+        assert np.array_equal(StageWorkspace(st.s).first_stage(Z, pmv)[0], _linear_rhs(Z, pmv))
 
 
 # ------------------------------------------------------------ integration
@@ -148,8 +144,8 @@ def test_rk4_self_convergence_order():
 
 def test_one_compiled_call_per_rk4_stage(monkeypatch):
     # four calls of the compiled stage per step, plus the final record's one more step, and
-    # no _rhs, for a completed and a stopped run
-    calls, rhs_calls, init, rhs = [], [], StageWorkspace.__init__, nonlinear._rhs
+    # no lone stage, for a completed and a stopped run
+    calls, lone, init, first_stage = [], [], StageWorkspace.__init__, StageWorkspace.first_stage
 
     def counted_init(self, *args):
         init(self, *args)
@@ -157,14 +153,15 @@ def test_one_compiled_call_per_rk4_stage(monkeypatch):
         self.rk4_stage = lambda *a: calls.append(1) or stage(*a)
 
     monkeypatch.setattr(StageWorkspace, "__init__", counted_init)
-    monkeypatch.setattr(nonlinear, "_rhs", lambda *a: rhs_calls.append(1) or rhs(*a))
+    monkeypatch.setattr(StageWorkspace, "first_stage",
+                        lambda *a: lone.append(1) or first_stage(*a))
     run = integrate_nonlinear(sine(0.01), 0.05, dt=1e-2, n_chars=32)
-    assert run.status == "completed" and len(calls) == 4 * (5 + 1) and not rhs_calls
-    calls.clear(), rhs_calls.clear()
+    assert run.status == "completed" and len(calls) == 4 * (5 + 1) and not lone
+    calls.clear(), lone.clear()
     run = integrate_nonlinear(bump(-0.5), 6.0, dt=1e-2, n_chars=32)
     steps = round(run.t_stop / 1e-2)
     assert run.status == "blew_up" and 0 < steps < 600
-    assert len(calls) == 4 * (steps + 1) and not rhs_calls
+    assert len(calls) == 4 * (steps + 1) and not lone
 
 
 def test_compiled_step_matches_the_numpy_rk4_step_bitwise():
@@ -287,26 +284,32 @@ def test_stage_matches_the_unbuffered_formulas_bitwise():
             Q, P, dZ = _reference_stage(s, Z, pmv)
         same = lambda a, b: np.array_equal(a, b, equal_nan=True)
         assert all(map(same, node_convolutions(s, Z[0], Z[2], Z[3], Z[4]), (Q, P)))
-        got, p0 = nonlinear._rhs(StageWorkspace(s), Z, pmv)
-        assert same(got, dZ) and same(p0, P[0])
+        got, QP = StageWorkspace(s).first_stage(Z, pmv)
+        assert same(got, dZ) and same(QP, (Q, P))
     assert not np.isfinite(dZ).all() and np.isfinite(dZ).any()  # the overflow case
 
 
-def test_stage_results_on_one_workspace_are_new_arrays():
-    # a run passes one workspace to every stage; results are new arrays that
-    # later stages on other data leave alone
+def test_stage_results_on_one_workspace_are_new_arrays(monkeypatch):
+    # a run passes one workspace to every stage; lone-stage results are new arrays, sharing
+    # no memory with any workspace, that later stages on other data leave alone
     st1, st2, _ = _warped_states()
     ws, pmv = StageWorkspace(st1.s), math.pi * m * m * st1.vbar
-    first, p_first = nonlinear._rhs(ws, st1.stack(), pmv)
-    kept = first.copy()
-    second, _ = nonlinear._rhs(ws, st2.stack(), pmv)
-    third, p_third = nonlinear._rhs(ws, st1.stack(), pmv)
-    assert not np.array_equal(first, second)
-    assert np.array_equal(first, kept) and np.array_equal(third, kept) and p_first == p_third
-    d1 = nl_rhs(st1)
-    kept = d1.dU.copy()
-    nl_rhs(st2)
-    assert np.array_equal(d1.dU, kept) and np.array_equal(nl_rhs(st1).dU, kept)
+    built, init = [ws], StageWorkspace.__init__  # every workspace, kept alive for the check
+    monkeypatch.setattr(StageWorkspace, "__init__", lambda self, *a: built.append(self) or
+                        init(self, *a))
+    first = ws.first_stage(st1.stack(), pmv)
+    kept = [a.copy() for a in first]
+    second, d1 = ws.first_stage(st2.stack(), pmv), nl_rhs(st1)
+    kept_d1 = d1.copy()
+    results = [*first, *second, d1, nl_rhs(st2),
+               *node_convolutions(ws, st2.X, st2.V, st2.U, st2.J),
+               *node_convolutions(st2.s, st2.X, st2.V, st2.U, st2.J)]
+    assert len(built) == 4
+    assert not any(np.shares_memory(r, a) for r in results for w in built for a in w.arrays)
+    assert not any(map(np.array_equal, first, second))
+    assert all(map(np.array_equal, first, kept))
+    assert all(map(np.array_equal, ws.first_stage(st1.stack(), pmv), kept))
+    assert np.array_equal(d1, kept_d1) and np.array_equal(nl_rhs(st1), kept_d1)
 
 
 def test_a_stage_needs_all_five_rows():
@@ -315,7 +318,7 @@ def test_a_stage_needs_all_five_rows():
     ws, Z = StageWorkspace(st.s), st.stack()
     for bad in (Z[:1], Z[:2], np.vstack([Z, Z[:1]])):
         with pytest.raises(ValueError):
-            nonlinear._rhs(ws, bad, 0.1)
+            ws.first_stage(bad, 0.1)
 
 
 def test_node_convolutions_results_survive_a_second_call():
@@ -369,31 +372,34 @@ def test_no_grid_or_workspace_outlives_a_node_array_call(monkeypatch):
 
 
 def test_stages_on_alternating_workspaces_match_fresh_ones_bitwise():
-    # two workspaces of different n used in turn, and nl_rhs on the same
-    # states, give the results of a fresh workspace for every stage
+    # two workspaces of different n used in turn, and nl_rhs on the same states, give the
+    # results of a fresh workspace for every stage; on the state with a nonzero mean, nl_rhs
+    # must take its pmv from state.vbar to give the NumPy stage's bits
     ic = InitialCondition(cosine_coeffs=(0.0, 0.1), sine_coeffs=(0.2,))
-    states = [linear.exact_state(t, ic, n) for t in (0.7, 1.9) for n in (129, 128)]
-    pmv = math.pi * m * m * ic.vbar
-    fresh = [nonlinear._rhs(StageWorkspace(st.s), st.stack(), pmv) for st in states]
+    mean = linear.exact_state(0.7, InitialCondition((0.3, 0.1), (0.2,), constant=0.1), 129)
+    states = [linear.exact_state(t, ic, n) for t in (0.7, 1.9) for n in (129, 128)] + [mean]
+    pmvs = [math.pi * m * m * st.vbar for st in states]
+    fresh = [StageWorkspace(st.s).first_stage(st.stack(), pmv) for st, pmv in zip(states, pmvs)]
     kept = {len(st.s): StageWorkspace(st.s) for st in states}
     for _ in range(2):
-        for st, (dZ, p0) in zip(states, fresh):
-            got, got_p0 = nonlinear._rhs(kept[len(st.s)], st.stack(), pmv)
-            assert np.array_equal(got, dZ) and got_p0 == p0
-            d = nl_rhs(st)
-            assert np.array_equal(np.stack([d.dX, d.dW, d.dV, d.dU, d.dJ]), dZ)
+        for st, pmv, want in zip(states, pmvs, fresh):
+            ws = kept[len(st.s)]
+            assert all(map(np.array_equal, ws.first_stage(st.stack(), pmv), want))
+            assert np.array_equal(nl_rhs(st), want[0])
             assert all(map(np.array_equal, node_convolutions(st.s, st.X, st.V, st.U, st.J),
-                           node_convolutions(kept[len(st.s)], st.X, st.V, st.U, st.J)))
+                           node_convolutions(ws, st.X, st.V, st.U, st.J)))
+    assert mean.vbar != 0.0
+    assert np.array_equal(nl_rhs(mean), _reference_stage(mean.s, mean.stack(), pmvs[-1])[2])
 
 
 def test_steps_and_stages_sharing_a_workspace_match_fresh_workspaces_bitwise():
-    # a workspace's nonlinear and linear steps, its lone stages (_rhs) and node_convolutions
+    # a workspace's nonlinear and linear steps, its lone stages and node_convolutions
     # all write its one scratch; interleaved, each result is that of a fresh workspace
     ic = InitialCondition(cosine_coeffs=(0.3, 0.1), sine_coeffs=(0.2,), constant=0.1)
     st1, st2 = linear.exact_state(0.7, ic, 129), linear.exact_state(1.9, ic, 129)
     pmv = math.pi * m * m * st1.vbar
     calls = [lambda ws: ws.rk4_step(pmv, 1e-2)(0.0, st1.stack()),
-             lambda ws: nonlinear._rhs(ws, st2.stack(), pmv),
+             lambda ws: ws.first_stage(st2.stack(), pmv),
              lambda ws: ws.linear_step(pmv, 1e-2)(0.0, st2.stack()),
              lambda ws: node_convolutions(ws, st1.X, st1.V, st1.U, st1.J),
              lambda ws: ws.linear_step(pmv, 5e-4)(0.0, st1.stack()),
@@ -468,11 +474,11 @@ def test_peak_records_are_the_stage_rows_and_obey_the_scalar_slope_laws():
                                    save_times=[k * dt for k in range(round(t_end / dt) + 1)])
         pmv, ws = math.pi * m * m * ic.vbar, StageWorkspace(traj.states[0].s)
         with np.errstate(over="ignore", invalid="ignore"):  # the stop state can overflow P
-            stages = [nonlinear._rhs(ws, st.stack(), pmv) for st in traj.states]
+            stages = [ws.first_stage(st.stack(), pmv) for st in traj.states]
         record = np.column_stack([traj.diag_t, traj.diag_v_peak, traj.diag_p0,
                                   traj.diag_u_right, traj.diag_u_left])
-        assert np.array_equal(record, [(st.t, st.V[0], p0, st.U[0], st.U[-1])
-                                       for st, (_, p0) in zip(traj.states, stages)], equal_nan=True)
+        assert np.array_equal(record, [(st.t, st.V[0], QP[1, 0], st.U[0], st.U[-1])
+                                       for st, (_, QP) in zip(traj.states, stages)], equal_nan=True)
         assert np.isfinite(record[:-1]).all()
         v0, p0, u = record[:, 1:2], record[:, 2:3], record[:, 3:]
         law = np.array([1.0, -1.0]) * u + M * v0 - pmv - 0.5 * u * u + v0 * v0 - p0
