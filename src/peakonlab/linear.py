@@ -65,7 +65,7 @@ def _check_time(t) -> None:
 
 
 class ClosedForm:
-    """The closed-form linear flow of one profile on the characteristics s, at any t.
+    """The closed-form linear flow of one profile on the characteristics s, for t <~ 354.8.
 
     Everything that depends on s alone is computed here, once; a call adds the
     work of one t.  On the right half G is taken from the s = 2pi end: with
@@ -75,6 +75,9 @@ class ClosedForm:
 
     so G(t,2pi) = 2pi vbar e^{-t} to rounding.  The direct form leaves an
     O(eps) remainder there that dX/ds ~ e^t and Y ~ e^t blow up at long times.
+
+    Past t = ln(DBL_MAX)/2 ~ 354.8 the ad (1 - ad) term of dY/ds overflows near
+    s = 2pi: NumPy warns, and U, finite in exact arithmetic, is not.
     """
 
     def __init__(self, ic: InitialCondition, s):
@@ -115,7 +118,8 @@ def exact_characteristic(t: float, s):
     """Closed-form characteristic: position X, stretch dX/ds, and Y.
 
     Endpoint limits: X(t,0) = 0, X(t,2pi) = 2pi, dX/ds = e^{-t} at s = 0 and
-    e^{t} at s = 2pi.
+    e^{t} at s = 2pi, for t up to about 354.8: past it the U term that
+    :class:`ClosedForm` also computes overflows near s = 2pi and NumPy warns.
     """
     return ClosedForm(InitialCondition(), s)(t)[:3]
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import StageWorkspace
-from .kernel import M, TWO_PI, m, phi
+from .kernel import M, m
 from .profiles import InitialCondition
 from .state import CharacteristicState, initial_state, march, save_steps
 
@@ -172,21 +172,3 @@ def riccati_supersolution(u0: float, forcing: float, t):
     ratio = ratio0 * np.exp(-0.5 * (r_plus - r_minus) * t)
     out = (r_plus - r_minus * ratio) / (1.0 - ratio)
     return float(out[()]) if out.ndim == 0 else out
-
-
-def reconstruct_u(state: CharacteristicState, x_grid):
-    """Rebuild the full wave u = phi + v on positions in [0, 2*pi].
-
-    The perturbation is interpolated from (X, V) by a monotone piecewise
-    cubic, which cannot overshoot across the steepening front.  Also returns
-    v|peak, the speed of the s = 0 corner on top of the background speed M.
-    That corner is the crest (u_x = U+ - 1 right of it, U- + 1 left of it)
-    only while U+ < 1 and U- > -1.
-    """
-    from scipy.interpolate import PchipInterpolator  # slow to import; no CLI path needs it
-    x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(x_grid < -1e-12) or np.any(x_grid > TWO_PI + 1e-12):
-        raise ValueError("x_grid must lie within [0, 2*pi]")
-    v_interp = PchipInterpolator(state.X, state.V)
-    u = phi(x_grid) + v_interp(np.clip(x_grid, state.X[0], state.X[-1]))
-    return u, state.v_peak

@@ -176,6 +176,7 @@ def march(step, Z: np.ndarray, dt: float, n_steps: int, saves=(), stop=None, rec
     satisfies ``stop(Z)`` ("stopped"), or at a step that leaves the reals ("non-finite";
     that state is dropped).  Returns (saved pairs, last finite Z, its t, outcome).
     """
+    saves = set(saves)  # scanning a list per step makes a run that saves often quadratic
     saved = [(0.0, Z)] if 0 in saves else []
     t, outcome = 0.0, "completed"
     # overflow in a step is reported through the outcome, not as a warning

@@ -714,15 +714,19 @@ def test_python_m_peakonlab_exit_codes(tmp_path):
         assert proc.returncode == code
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
-    # only the wave reconstruction needs it, which no CLI path runs, and a
-    # classify run loads no scipy module at all
-    out = str(tmp_path / "cl")
-    codes = ("import sys, peakonlab.cli; print('scipy.interpolate' in sys.modules)",
+def test_cli_import_and_every_mode_load_no_scipy(tmp_path):
+    # the runtime depends on NumPy alone, so a SciPy import would only add to set-up time;
+    # one process imports the CLI, one classifies, one runs every trajectory mode
+    runs = "; ".join(f"assert 0 == c.main([{mode!r}, '--t', '0,0.5', '--dt', '1e-2', "
+                     f"'--nchars', '16', '--out', {str(tmp_path / mode)!r}])"
+                     for mode in ("linear-exact", "linear-ode", "energies", "nonlinear"))
+    codes = ("import sys, peakonlab.cli",
              "import sys, peakonlab.cli as c; c.main(['classify', '--a', '-0.01', '--c', '1', "
-             f"'--out', {out!r}]); print(any(k.startswith('scipy') for k in sys.modules))")
+             f"'--out', {str(tmp_path / 'cl')!r}])",
+             f"import sys, peakonlab.cli as c; {runs}")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    check = "; print(any(k.startswith('scipy') for k in sys.modules))"
     for code in codes:
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-c", code + check], capture_output=True,
+                              text=True, env=env, check=True, timeout=120)
         assert proc.stdout.splitlines()[-1] == "False"

@@ -12,8 +12,7 @@ from peakonlab.convolution import (DensitySample, StageWorkspace, conv_q, node_c
                                    q_density)
 from peakonlab.energetics import check_conserved, energies
 from peakonlab.kernel import M, m, phi, phi_open_interval, phi_prime_open_interval
-from peakonlab.nonlinear import (integrate_nonlinear, nl_rhs, reconstruct_u, riccati_bound,
-                                 riccati_supersolution)
+from peakonlab.nonlinear import integrate_nonlinear, nl_rhs, riccati_bound, riccati_supersolution
 from peakonlab.profiles import InitialCondition, bump, sine, steepest_budget_bump
 from peakonlab.quadrature import Grid, cumulative_integral, fd_derivative, integrate_samples
 from peakonlab.state import cosine_grid, initial_state
@@ -601,31 +600,3 @@ def test_nonfinite_stop_reports_unbounded_slope():
     traj = integrate_nonlinear(bump(-1e160), 1.0, dt=1e-2, n_chars=32)
     assert (traj.status, traj.t_stop, traj.max_abs_slope) == ("blew_up", 0.0, math.inf)
     assert nonlinear.measured_forcing_bound(traj) == 0.0
-
-
-# -------------------------------------------------------------- reconstruct
-
-def test_reconstruct_zero_perturbation_gives_wave():
-    st = initial_state(InitialCondition(), 256)
-    x = np.linspace(0.0, TWO_PI, 301)
-    u, rate = reconstruct_u(st, x)
-    assert np.max(np.abs(u - phi(x))) < 1e-12
-    assert rate == 0.0
-
-
-def test_reconstruct_peak_location_and_speed():
-    # the crest stays on the s = 0 characteristic and the crest of the pure
-    # wave moves with speed u(peak) = M
-    traj = integrate_nonlinear(sine(0.05), 1.0, dt=1e-3, n_chars=256,
-                               save_times=[1.0])
-    st = traj.states[-1]
-    x = np.linspace(0.0, TWO_PI, 2001)
-    u, rate = reconstruct_u(st, x)
-    peak_x = x[np.argmax(u)]
-    assert min(peak_x, TWO_PI - peak_x) < 0.01
-    assert rate == pytest.approx(st.v_peak)
-    u0, rate0 = reconstruct_u(initial_state(InitialCondition(), 64),
-                              np.array([0.0]))
-    assert u0[0] + rate0 == pytest.approx(M)  # background speed plus zero drift
-    with pytest.raises(ValueError):
-        reconstruct_u(st, np.array([-1.0]))

@@ -169,6 +169,26 @@ def test_march_never_writes_a_state_it_kept():
     assert all(Zk is kept for (_, Zk), (kept, _) in zip(saved, seen))
 
 
+def test_march_looks_up_each_save_step_in_constant_time():
+    # a scan of the sorted save list makes about n^2/2 comparisons when every step is saved
+    comparisons = 0
+
+    class Step(int):
+        __hash__ = int.__hash__
+
+        def __eq__(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return int(self) == other
+
+    n = 2000
+    saved, _, t, outcome = march(lambda t, Z: (Z, None), np.array([1.0]), 0.5, n,
+                                 saves=[Step(k) for k in range(n + 1)])
+    assert outcome == "completed" and t == n * 0.5
+    assert [ts for ts, _ in saved] == [k * 0.5 for k in range(n + 1)]
+    assert comparisons <= 4 * n
+
+
 _AMPLITUDE = hst.floats(-0.5, 0.5)
 _PROFILES = hst.one_of(
     hst.builds(sine, _AMPLITUDE, hst.integers(1, 3)),
